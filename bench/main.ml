@@ -326,6 +326,42 @@ let section_recovery_overhead () =
         ] )
   in
   let rows = List.map one [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ] in
+  (* Rollback trials/s on the default path (compiled engine, lazy region
+     checkpoints, prefix replay) over the interpreter's eager-snapshot
+     reference with neither: two rates of the same cell on the same box,
+     so a machine-independent ratio. Both run warm (the campaign above
+     filled the engine cache) and each is timed over repeated campaigns
+     for at least a quarter second. *)
+  let rollback_rate ?compile ?replay () =
+    let run () =
+      (Engine.campaign engine ?compile ?replay ~seed ~trials:n
+         (key Scheme.Rollback))
+        .Montecarlo.trials
+    in
+    ignore (run () : int);
+    let t0 = Unix.gettimeofday () in
+    let rec go done_ =
+      let done_ = done_ + run () in
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt >= 0.25 then float_of_int done_ /. dt else go done_
+    in
+    go 0
+  in
+  let speedup =
+    rollback_rate () /. rollback_rate ~compile:false ~replay:false ()
+  in
+  Printf.printf "ROLLBACK speedup vs the reference (compiled + replay): %.1fx\n"
+    speedup;
+  let rows =
+    List.map
+      (function
+        | "rollback", Obs.Json.Obj fields ->
+            ( "rollback",
+              Obs.Json.Obj (fields @ [ ("speedup_vs_reference", f speedup) ])
+            )
+        | row -> row)
+      rows
+  in
   recovery_overhead_json :=
     Obs.Json.Obj
       ([

@@ -70,9 +70,18 @@ let is_perfect t = t.perfect
 
 type snapshot = { levels : Level.snapshot array; snap_perfect : bool }
 
-let snapshot (t : t) =
-  { levels = Array.map (fun (l, _) -> Level.snapshot l) t.levels;
-    snap_perfect = t.perfect }
+let snapshot ?reuse (t : t) =
+  let reuse i =
+    match reuse with
+    | Some s when Array.length s.levels = Array.length t.levels ->
+        Some s.levels.(i)
+    | Some _ | None -> None
+  in
+  {
+    levels =
+      Array.mapi (fun i (l, _) -> Level.snapshot ?reuse:(reuse i) l) t.levels;
+    snap_perfect = t.perfect;
+  }
 
 let restore (t : t) snap =
   if t.perfect <> snap.snap_perfect then

@@ -35,10 +35,14 @@ val is_perfect : t -> bool
 
 (** Immutable copy of the whole hierarchy's state (all levels' tags,
     dirty bits, LRU stamps, statistics) plus the perfect-cache flag.
-    Never mutated after capture, so safe to share across domains. *)
+    Never mutated after capture (unless handed back as [reuse]), so safe
+    to share across domains. *)
 type snapshot
 
-val snapshot : t -> snapshot
+(** With [reuse] — a snapshot that is never read again — each level's
+    copy is written into [reuse]'s storage where the shapes match (see
+    {!Level.snapshot}). *)
+val snapshot : ?reuse:snapshot -> t -> snapshot
 
 (** Write a snapshot back into a hierarchy of the same geometry and
     perfect-cache mode. Raises [Invalid_argument] on a mode or level

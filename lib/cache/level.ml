@@ -130,14 +130,16 @@ let block_bytes t = t.block_bytes
 
 (* Sparse snapshot: only the touched sets (everything else is in the
    pristine all-invalid state a [clear] re-establishes). [set_idx.(k)]
-   names the k-th captured set; its ways live at [k * assoc ..] in the
-   flat arrays. Never mutated after capture — safe to share read-only
-   across domains. *)
+   names the k-th of the [n_sets_captured] captured sets; its ways live
+   at [k * assoc ..] in the flat arrays, which a reused snapshot may
+   hold with spare capacity. Never mutated after capture unless handed
+   back as [reuse] — safe to share read-only across domains. *)
 type snapshot = {
   snap_sets : int;  (* geometry guard: n_sets *)
   assoc : int;
+  n_sets_captured : int;
   set_idx : int array;
-  tags : int array;  (* length = |set_idx| * assoc *)
+  tags : int array;  (* length >= n_sets_captured * assoc *)
   stamps : int array;
   dirty : Bytes.t;
   clock : int;
@@ -146,25 +148,42 @@ type snapshot = {
   s_writebacks : int;
 }
 
-let snapshot t =
+let snapshot ?reuse t =
   let assoc = Array.length t.sets.(0) in
-  let n = t.n_touched * assoc in
-  let set_idx = Array.sub t.touched 0 t.n_touched in
-  let tags = Array.make (max n 1) (-1) in
-  let stamps = Array.make (max n 1) 0 in
-  let dirty = Bytes.make (max n 1) '\000' in
+  let set_idx, tags, stamps, dirty =
+    match reuse with
+    | Some s
+      when s.snap_sets = t.n_sets && s.assoc = assoc
+           && Array.length s.set_idx >= t.n_touched ->
+        (s.set_idx, s.tags, s.stamps, s.dirty)
+    | _ ->
+        (* A reused snapshot outgrown by the touched sets is replaced
+           with headroom, so a run whose working set keeps growing
+           reallocates O(log sets) times. *)
+        let cap =
+          match reuse with
+          | Some s ->
+              min t.n_sets (max t.n_touched (2 * Array.length s.set_idx))
+          | None -> t.n_touched
+        in
+        let c = max (cap * assoc) 1 in
+        (Array.make cap 0, Array.make c (-1), Array.make c 0,
+         Bytes.make c '\000')
+  in
+  Array.blit t.touched 0 set_idx 0 t.n_touched;
   for k = 0 to t.n_touched - 1 do
     let set = t.sets.(set_idx.(k)) in
     for w = 0 to assoc - 1 do
       let i = (k * assoc) + w in
       tags.(i) <- set.(w).tag;
       stamps.(i) <- set.(w).stamp;
-      if set.(w).dirty then Bytes.unsafe_set dirty i '\001'
+      Bytes.unsafe_set dirty i (if set.(w).dirty then '\001' else '\000')
     done
   done;
   {
     snap_sets = t.n_sets;
     assoc;
+    n_sets_captured = t.n_touched;
     set_idx;
     tags;
     stamps;
@@ -183,7 +202,7 @@ let restore t snap =
   if snap.snap_sets <> t.n_sets || snap.assoc <> assoc then
     invalid_arg "Level.restore: geometry mismatch";
   clear t;
-  for k = 0 to Array.length snap.set_idx - 1 do
+  for k = 0 to snap.n_sets_captured - 1 do
     let s = snap.set_idx.(k) in
     touch t s;
     let set = t.sets.(s) in

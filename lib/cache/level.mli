@@ -37,8 +37,11 @@ val block_bytes : t -> int
 type snapshot
 
 (** Sparse copy of tags, dirty bits, LRU stamps and counters — only the
-    sets touched since the last clear are captured, O(touched). *)
-val snapshot : t -> snapshot
+    sets touched since the last clear are captured, O(touched). With
+    [reuse] — a snapshot that is never read again — the copy is written
+    into [reuse]'s storage when it has room for the touched sets, and
+    otherwise into new storage with headroom to grow. *)
+val snapshot : ?reuse:snapshot -> t -> snapshot
 
 (** Write a snapshot back into a level of the same geometry (clears the
     level first; O(touched), both sides). *)

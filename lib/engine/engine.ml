@@ -152,8 +152,8 @@ let simulate t key =
   in
   (compiled, run)
 
-(* Rollback campaigns run every trial through Simulator.run_recovering
-   with this retry budget (a fault that keeps re-failing after this many
+(* Rollback campaigns run every trial as a region-rollback run with
+   this retry budget (a fault that keeps re-failing after this many
    restores reports its original failure). *)
 let default_retry_budget = 3
 
@@ -319,14 +319,14 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let simulate ?prior ?bank ~shard n_trials =
     let (_ : Pipeline.compiled) = compile t key in
     let decoded = Cache.decoded t.cache key in
-    let replay = replay && retry_budget = None in
+    (* The interpreter's reference rollback ([~compile:false]) runs
+       full length: no snapshot set to capture for it. *)
+    let replay = replay && (use_compiled || retry_budget = None) in
     let replay_set =
       if replay then Some (Cache.replay t.cache key) else None
     in
     let compiled =
-      if use_compiled && retry_budget = None then
-        Some (Cache.compiled t.cache key)
-      else None
+      if use_compiled then Some (Cache.compiled t.cache key) else None
     in
     timed t `Campaign (fun () ->
         Montecarlo.run_decoded ~pool:t.pool ~seed ~fuel_factor ~model

@@ -103,11 +103,14 @@ val simulate :
     hatch back to the decoded interpreter.
 
     A {!Casted_detect.Scheme.Rollback} spec automatically runs every
-    trial through {!Casted_sim.Simulator.run_recovering} with
-    [retry_budget] (default {!default_retry_budget}) and replay forced
-    off — a rollback trial restores its own region checkpoints, which
-    prefix replay cannot express. Pass [retry_budget] explicitly to
-    override the budget (or to run any other scheme recovering).
+    trial as a region-rollback run with [retry_budget] (default
+    {!default_retry_budget}): on the compiled engine with lazy
+    checkpoints and prefix replay
+    ({!Casted_sim.Simulator.run_compiled_recovering}), or with
+    [~compile:false] on the interpreter's eager-snapshot reference
+    ({!Casted_sim.Simulator.run_recovering}, replay off) — the same
+    tallies either way. Pass [retry_budget] explicitly to override the
+    budget (or to run any other scheme recovering).
 
     With [store] set the campaign becomes incremental: see
     {!campaign_stored}, of which this is the [.result] projection. *)

@@ -36,9 +36,26 @@ module Func = Casted_ir.Func
 module Config = Casted_machine.Config
 module Hierarchy = Casted_cache.Hierarchy
 
+(* Region-head bookkeeping of a rollback run. A region head (the loop
+   top of an entry-function block holding a Cpt marker, call stack
+   empty) records where it was — block, dyn, time — and copies nothing;
+   the checkpoint state is rebuilt by re-execution only when a rollback
+   needs it (run_recovering). [stop_dyn] lets that rebuild halt the
+   machine at the head whose dyn it names. Non-recovering runs carry a
+   private record they never read. *)
+type marks = {
+  mutable mk_block : int;  (* -1: no region head passed yet *)
+  mutable mk_dyn : int;
+  mutable mk_time : int;
+  mutable stop_dyn : int;  (* max_int: never stop *)
+}
+
+exception Stop
+
 type cctx = {
   st : State.t;
   funcs : cfunc array;
+  marks : marks;
   fuel : int;
   delay : int;  (* cross-cluster interconnect delay, from the config *)
   (* Pre-extracted fault triggers: counter value (post-increment) at
@@ -73,7 +90,10 @@ and cbundle = {
   c_body : cinsn array;  (* flattened (cluster, slot) order *)
 }
 
-and cblock = { c_bundles : cbundle array }
+and cblock = {
+  c_bundles : cbundle array;
+  c_cpt : bool;  (* a rollback-region head: entry function, Cpt block *)
+}
 and cfunc = { c_func : Func.t; c_blocks : cblock array }
 
 type t = { d : Decode.t; cfuncs : cfunc array }
@@ -201,13 +221,29 @@ let scan_q st (ready : int array) (home : int array) delay (q : int array) =
     if need > st.State.tmax then st.State.tmax <- need
   done
 
+(* A region head at the loop top of [cur]: the interpreter's on_block
+   snapshot point, reduced to three integer writes. Only entry-function
+   blocks carry the flag; a recursive call into the entry function
+   (depth > 1) is not a head, as in the interpreter. *)
+let region_head c cur =
+  let st = c.st in
+  if st.State.depth = 1 then begin
+    let m = c.marks in
+    if st.State.dyn = m.stop_dyn then raise Stop;
+    m.mk_block <- cur;
+    m.mk_dyn <- st.State.dyn;
+    m.mk_time <- st.State.time
+  end
+
 (* The block loop — same two-phase bundle semantics as the interpreter:
    compute the lockstep issue time over every operand of the whole
-   bundle, then execute the flattened body at that time. Tail-recursive,
-   allocation-free. *)
+   bundle, then execute the flattened body at that time. Tail-recursive;
+   the only per-block work beyond the bundles is the region-head flag
+   test. *)
 let rec exec_cblocks c (fr : State.regfile) (blocks : cblock array) cur =
   let st = c.st in
   let b = Array.unsafe_get blocks cur in
+  if b.c_cpt then region_head c cur;
   let block_start = st.State.time + 1 in
   st.State.xfer <- State.xfer_none;
   let bundles = b.c_bundles in
@@ -740,16 +776,19 @@ let compile_bundle (d : Decode.t) ~sizes (db : Decode.dbundle) : cbundle =
 let of_decoded (d : Decode.t) : t =
   Casted_obs.Trace.with_span ~cat:"sim" "sim.compile" (fun () ->
       Casted_obs.Metrics.incr "sim.compiles";
-      let compile_func (df : Decode.dfunc) =
+      let compile_func fi (df : Decode.dfunc) =
         let func = df.Decode.func in
         let n c = max 1 (Func.reg_count func c) in
         let sizes = (n Reg.Gp, n Reg.Fp, n Reg.Pr) in
         let compile_block (db : Decode.dblock) =
-          { c_bundles = Array.map (compile_bundle d ~sizes) db.Decode.bundles }
+          {
+            c_bundles = Array.map (compile_bundle d ~sizes) db.Decode.bundles;
+            c_cpt = fi = d.Decode.entry && db.Decode.checkpoint;
+          }
         in
         { c_func = func; c_blocks = Array.map compile_block df.Decode.blocks }
       in
-      { d; cfuncs = Array.map compile_func d.Decode.funcs })
+      { d; cfuncs = Array.mapi compile_func d.Decode.funcs })
 
 (* ---- Entry points ---- *)
 
@@ -766,7 +805,10 @@ let arms_of_fault = function
   | Some (Fault.Xcluster_flip { target_read; bit }) ->
       (0, 0, 1, 0, 0, 0, 0, target_read + 1, bit)
 
-let make_cctx (p : t) ~fault ~fuel st =
+let new_marks () =
+  { mk_block = -1; mk_dyn = -1; mk_time = 0; stop_dyn = max_int }
+
+let make_cctx ?(marks = new_marks ()) (p : t) ~fault ~fuel st =
   let ( def_arm, def_bit, def_width, mem_arm, mem_off, mem_bit, br_arm, x_arm,
         x_bit ) =
     arms_of_fault fault
@@ -774,6 +816,7 @@ let make_cctx (p : t) ~fault ~fuel st =
   {
     st;
     funcs = p.cfuncs;
+    marks;
     fuel;
     delay = p.d.Decode.config.Config.delay;
     def_arm;
@@ -791,16 +834,21 @@ let make_cctx (p : t) ~fault ~fuel st =
     ret_pr = false;
   }
 
-let exec_entry c entry =
-  let st = c.st in
+(* Enter the entry function on a fresh machine: its frame, at depth 1. *)
+let enter (st : State.t) cf =
   st.State.depth <- st.State.depth + 1;
   if st.State.depth > Runtime.max_call_depth then
     raise (Trap.Trap Trap.Stack_overflow);
-  let cf = Array.unsafe_get c.funcs entry in
   let fr = State.make_regfile cf.c_func ~time:(st.State.time + 1) in
   (match cf.c_func.Func.params with
   | [] -> ()
   | _ :: _ -> invalid_arg "Simulator: call arity mismatch");
+  fr
+
+let exec_entry c entry =
+  let st = c.st in
+  let cf = Array.unsafe_get c.funcs entry in
+  let fr = enter st cf in
   exec_cblocks c fr cf.c_blocks 0;
   st.State.depth <- st.State.depth - 1
 
@@ -843,3 +891,159 @@ let run_replayed ?fault ?(fuel = max_int) ?(with_mem_digest = false) ~snapshot
   Runtime.finish ~config:d.Decode.config ~output_base:d.Decode.output_base
     ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
     ~with_mem_digest st termination
+
+(* ---- Region rollback ---- *)
+
+type head = { h_block : int; h_dyn : int; h_time : int }
+
+type prefix = {
+  start : State.snapshot;
+  head : head option;
+  base : int -> State.snapshot option;
+}
+
+(* Region rollback on the compiled engine, with lazy checkpoints. The
+   semantics are Simulator.run_recovering's, which eagerly copies the
+   machine at every region head; here a head only records its (block,
+   dyn, time) in [marks], and a rollback rebuilds the checkpoint state
+   by re-execution:
+
+   - every attempt after the first runs disarmed from the checkpoint it
+     rolled back to, so all of them lie on one deterministic trajectory:
+     armed from the run's start up to the first rollback's checkpoint
+     (dyn d1), disarmed from there on. The checkpoint of any later
+     rollback (dyn dk >= d1) is on that trajectory too;
+   - a golden snapshot no later than both d1 and the trial's start is on
+     it as well (the run is golden until its fault fires, which is after
+     the start), so the rebuild restores the latest such snapshot (or a
+     fresh machine), runs armed to the head at d1 and disarmed to the
+     head at dk. That leaves exactly the State.t and entry register file
+     the eager snapshot held — dyn names a head uniquely, since every
+     block executes at least its terminator.
+
+   A trial started from a golden snapshot ([prefix]) may fail before
+   reaching a head of its own; its latest head is then the golden one
+   at or before the start ([prefix.head]). [prefix.base dyn] must return
+   the latest golden snapshot at or before [dyn] and never one after
+   [prefix.start]. *)
+let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
+    ?prefix ~retry_budget (p : t) =
+  let module M = Casted_obs.Metrics in
+  let d = p.d in
+  let config = d.Decode.config in
+  let entry = p.cfuncs.(d.Decode.entry) in
+  let blocks = entry.c_blocks in
+  let marks = new_marks () in
+  (* A machine at a block top of the entry function, and that block: a
+     restored golden snapshot, or a fresh machine entering block 0. *)
+  let load = function
+    | Some (snap : State.snapshot) ->
+        let st, fr = State.restore ~cache:config.Config.cache snap in
+        let b = snap.State.block in
+        if b < 0 || b >= Array.length blocks then invalid_arg oob;
+        (st, fr, b)
+    | None ->
+        let st =
+          State.fresh ~image:d.Decode.image ~cache:config.Config.cache
+            ~perfect:false
+        in
+        (st, enter st entry, 0)
+  in
+  let run_to ~fault ~stop st fr cur =
+    marks.stop_dyn <- stop;
+    match exec_cblocks (make_cctx ~marks p ~fault ~fuel st) fr blocks cur with
+    | exception Stop -> marks.stop_dyn <- max_int
+    | exception e ->
+        failwith
+          ("Compile.run_recovering: checkpoint rebuild diverged: "
+         ^ Printexc.to_string e)
+    | () -> failwith "Compile.run_recovering: checkpoint rebuild diverged"
+  in
+  let first_block = ref (-1) and first_dyn = ref (-1) in
+  let rebuild () =
+    let tb = marks.mk_block and td = marks.mk_dyn and tt = marks.mk_time in
+    if !first_dyn < 0 then begin
+      first_block := tb;
+      first_dyn := td
+    end;
+    let from = match prefix with Some pf -> pf.base !first_dyn | None -> None in
+    let st, fr, cur = load from in
+    if M.enabled () then begin
+      M.incr "sim.rollback_rebuilds";
+      M.incr
+        ~by:(td - match from with Some s -> s.State.s_dyn | None -> 0)
+        "sim.rollback_rebuild_insns"
+    end;
+    run_to ~fault ~stop:!first_dyn st fr cur;
+    if td > !first_dyn then run_to ~fault:None ~stop:td st fr !first_block;
+    marks.mk_block <- tb;
+    marks.mk_dyn <- td;
+    marks.mk_time <- tt;
+    (st, fr, tb)
+  in
+  let wasted_cycles = ref 0 and wasted_dyn = ref 0 in
+  let assemble st termination =
+    let r =
+      Runtime.fold_wasted ~config ~cycles:!wasted_cycles ~dyn:!wasted_dyn
+        (Runtime.outcome ~config ~output_base:d.Decode.output_base
+           ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
+           ~with_mem_digest st termination)
+    in
+    Runtime.record_metrics r;
+    r
+  in
+  let rec attempt ~retries st fr cur =
+    let st_dyn0 = st.State.dyn in
+    let c =
+      make_cctx ~marks p ~fault:(if retries = 0 then fault else None) ~fuel st
+    in
+    let outcome =
+      try
+        exec_cblocks c fr blocks cur;
+        Ok (Outcome.Exit 0)
+      with
+      | Runtime.Halted code ->
+          Ok
+            (if retries > 0 then
+               Outcome.Recovered { exit_code = code; retries }
+             else Outcome.Exit code)
+      | Runtime.Out_of_fuel -> Ok Outcome.Timeout
+      | Runtime.Check_failed id -> Error (Outcome.Detected id)
+      | Trap.Trap tr -> Error (Outcome.Trapped tr)
+    in
+    match outcome with
+    | Error termination when marks.mk_dyn >= 0 && retries < retry_budget ->
+        let cycles = st.State.time - marks.mk_time in
+        let dyn = st.State.dyn - marks.mk_dyn in
+        if retries > 0 && marks.mk_dyn = st_dyn0 then begin
+          (* A disarmed attempt that failed before passing a region head
+             of its own would restart from the very state it started
+             from: every remaining retry repeats it exactly, so fold
+             them in without running them. *)
+          let n = retry_budget - retries in
+          wasted_cycles := !wasted_cycles + (n * cycles);
+          wasted_dyn := !wasted_dyn + (n * dyn);
+          M.incr ~by:n "sim.rollbacks";
+          assemble st termination
+        end
+        else begin
+          wasted_cycles := !wasted_cycles + cycles;
+          wasted_dyn := !wasted_dyn + dyn;
+          M.incr "sim.rollbacks";
+          let st, fr, cur =
+            Casted_obs.Trace.with_span ~cat:"sim" "sim.rollback.rebuild"
+              rebuild
+          in
+          attempt ~retries:(retries + 1) st fr cur
+        end
+    | Ok termination | Error termination -> assemble st termination
+  in
+  let st, fr, cur = load (Option.map (fun pf -> pf.start) prefix) in
+  (match prefix with
+  | Some { head = Some h; _ } ->
+      marks.mk_block <- h.h_block;
+      marks.mk_dyn <- h.h_dyn;
+      marks.mk_time <- h.h_time
+  | Some { head = None; _ } | None -> ());
+  if Option.is_some prefix && M.enabled () then M.incr "sim.replays";
+  attempt ~retries:0 st fr cur

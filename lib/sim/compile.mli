@@ -4,8 +4,9 @@
     targets and fault-site hooks all resolved at compile time. The hot
     loop is a flat array walk — no per-instruction opcode or class
     dispatch, no fault-option matching, no bounds checks (proven at
-    compile time), no allocation beyond what the simulated machine
-    itself demands.
+    compile time). It is not allocation-free: boxed [int64] register
+    values, call frames and the like allocate about 8 words per executed
+    instruction (perfbench's [sim.alloc_words_per_insn] measures 7-8).
 
     Outcomes are bit-identical to the interpreter ([Simulator.run_decoded]):
     both engines mutate the same [State.t] with the same event ordering,
@@ -33,8 +34,8 @@ val run :
   Outcome.run
 (** Execute a compiled program from a fresh machine state. Same
     semantics and same results as [Simulator.run_decoded] on the
-    underlying decoded program (modulo the profile/on_block hooks, which
-    the compiled path does not offer). *)
+    underlying decoded program. The interpreter's [profile] and
+    [perfect_cache] modes have no compiled counterpart. *)
 
 val run_replayed :
   ?fault:Fault.t ->
@@ -47,3 +48,39 @@ val run_replayed :
     interpreter — snapshots are engine independent) and execute only the
     suffix on the compiled path. Same results as
     [Simulator.run_replayed] with the same snapshot and fault. *)
+
+(** A rollback-region head the golden run passed: the entry-function
+    block, and the dynamic instruction count and clock at its loop
+    top. *)
+type head = { h_block : int; h_dyn : int; h_time : int }
+
+(** Where a replayed rollback trial starts, and what the golden run
+    knows about its prefix ({!Replay.recovery_prefix} builds it):
+    - [start]: the golden snapshot the trial resumes from, taken before
+      the trial's fault fires;
+    - [head]: the latest golden region head at or before [start];
+    - [base dyn]: the latest golden snapshot at or before [dyn], never
+      one later than [start] ([None] when there is none). *)
+type prefix = {
+  start : State.snapshot;
+  head : head option;
+  base : int -> State.snapshot option;
+}
+
+val run_recovering :
+  ?fault:Fault.t ->
+  ?fuel:int ->
+  ?with_mem_digest:bool ->
+  ?prefix:prefix ->
+  retry_budget:int ->
+  t ->
+  Outcome.run
+(** Region rollback on the compiled engine: the same results, field for
+    field, as [Simulator.run_recovering] with the same fault, fuel and
+    budget, from a fresh machine or (with [prefix]) from a golden
+    snapshot. Checkpoints are lazy: a region head records its block,
+    dyn and time and copies nothing; a rollback rebuilds the checkpoint
+    state by deterministic re-execution from the latest usable golden
+    snapshot (see DESIGN.md §12). Rebuilds are counted in the
+    [sim.rollback_rebuilds] and [sim.rollback_rebuild_insns] metrics
+    and traced as [sim.rollback.rebuild] spans. *)

@@ -102,12 +102,19 @@ let undo_writes t base =
   t.n_dirty <- 0
 
 (* Sparse snapshot of everything written since the last reset: the
-   dirty pages, packed. Immutable after capture. *)
+   dirty pages, packed. Immutable after capture, unless handed back as
+   [reuse]. *)
 type delta = { d_size : int; pages : int array; data : Bytes.t }
 
-let delta t =
-  let pages = Array.sub t.dirty 0 t.n_dirty in
-  let data = Bytes.create (t.n_dirty * page_size) in
+let delta ?reuse t =
+  let n = t.n_dirty in
+  let pages, data =
+    match reuse with
+    | Some d when d.d_size = t.size && Array.length d.pages = n ->
+        Array.blit t.dirty 0 d.pages 0 n;
+        (d.pages, d.data)
+    | Some _ | None -> (Array.sub t.dirty 0 n, Bytes.create (n * page_size))
+  in
   Array.iteri
     (fun k p ->
       Bytes.blit t.bytes (p lsl page_shift) data (k * page_size)

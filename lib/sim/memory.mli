@@ -36,11 +36,15 @@ val reset : t -> Bytes.t -> unit
 val undo_writes : t -> Bytes.t -> unit
 
 (** Sparse snapshot of the pages written since the last reset —
-    immutable after capture, safe to share read-only across domains. *)
+    immutable after capture (unless handed back as [reuse]), safe to
+    share read-only across domains. *)
 type delta
 
-(** [delta t] captures the arena's dirty pages, O(pages dirtied). *)
-val delta : t -> delta
+(** [delta t] captures the arena's dirty pages, O(pages dirtied). With
+    [reuse] — a delta that is never read again — the capture is written
+    into [reuse]'s storage when its page count matches, and allocates
+    nothing large. *)
+val delta : ?reuse:delta -> t -> delta
 
 (** [apply_delta t d] blits the delta's pages into the arena (and
     journals them as dirty, so a later {!undo_writes} removes them

@@ -158,11 +158,31 @@ let trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
   else begin
     let rng = Rng.create ~seed:(Rng.derive ~seed index) in
     let fault = Fault.random model rng ~population:g.pop in
-    match retry_budget with
-    | Some retry_budget ->
-        (* Rollback trials own the snapshot machinery themselves (the
-           region checkpoints), so golden-prefix replay stays out of the
-           picture: run_decoded forces it off for these campaigns. *)
+    match (retry_budget, compiled) with
+    | Some retry_budget, Some p ->
+        (* Rollback on the compiled engine: lazy region checkpoints,
+           composed with golden-prefix replay when the golden carries a
+           snapshot set. *)
+        let prefix =
+          match g.replay with
+          | Some r -> Replay.recovery_prefix r fault
+          | None -> None
+        in
+        let c =
+          classify_result ~golden:g.run
+            (try
+               Ok
+                 (Simulator.run_compiled_recovering ~fault ~fuel:g.fuel
+                    ?prefix ~retry_budget p)
+             with e -> Error e)
+        in
+        (match (g.replay, prefix) with
+        | Some r, Some pf ->
+            (c, Replay.suffix_fraction r pf.Compile.start, true)
+        | _ -> (c, 1.0, false))
+    | Some retry_budget, None ->
+        (* The reference: the interpreter's eager-snapshot rollback,
+           always full length (run_decoded keeps replay off for it). *)
         let c =
           classify_result ~golden:g.run
             (try
@@ -172,7 +192,7 @@ let trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
              with e -> Error e)
         in
         (c, 1.0, false)
-    | None -> (
+    | None, _ -> (
     let snap =
       match g.replay with Some r -> Replay.find r fault | None -> None
     in
@@ -330,11 +350,20 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
               recorded"
              (Array.fold_left ( + ) 0 counts)
              (owned_below start)));
-  (* Rollback trials restore their own region checkpoints mid-run, which
-     golden-prefix replay's restored-suffix execution cannot express:
-     replay is forced off for recovering campaigns. *)
-  let replay = replay && retry_budget = None in
-  let replay_set = if retry_budget = None then replay_set else None in
+  (* Stage-2 compile: trials run on the closure-threaded engine unless
+     the caller opted out. A pre-compiled program (the engine cache's
+     memoized one) wins over compiling here. *)
+  let compiled =
+    match compiled with
+    | Some _ as p -> p
+    | None -> if compile then Some (Compile.of_decoded decoded) else None
+  in
+  (* Rollback trials compose with golden-prefix replay only on the
+     compiled engine; the interpreter's reference rollback always runs
+     full length, so replay is off for it. *)
+  let reference_rollback = retry_budget <> None && Option.is_none compiled in
+  let replay = replay && not reference_rollback in
+  let replay_set = if reference_rollback then None else replay_set in
   let g =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.golden" (fun () ->
         golden_decoded ~fuel_factor ~replay ?replay_set decoded)
@@ -395,18 +424,6 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let n_replayed = ref 0 in
   let n_full = ref 0 in
   let suffix_sum = ref 0.0 in
-  (* Stage-2 compile: trials run on the closure-threaded engine unless
-     the caller opted out. Rollback campaigns stay on the interpreter —
-     run_recovering needs its on_block snapshot hook, which the compiled
-     path does not offer. A pre-compiled program (the engine cache's
-     memoized one) wins over compiling here. *)
-  let compiled =
-    if retry_budget <> None then None
-    else
-      match compiled with
-      | Some _ as p -> p
-      | None -> if compile then Some (Compile.of_decoded decoded) else None
-  in
   let one index =
     trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
       decoded

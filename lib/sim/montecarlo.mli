@@ -141,7 +141,8 @@ val golden_decoded :
 
     @param retry_budget run the trial through
       {!Simulator.run_recovering} with this rollback budget instead of
-      a plain (or replayed) run — the rollback-scheme campaign path. *)
+      a plain run — the rollback-scheme reference path (always full
+      length, the golden's snapshot set is not used). *)
 val trial :
   ?retry_budget:int ->
   ?model:Fault.model ->
@@ -232,18 +233,18 @@ val chunk_trials : int
       snapshot preceding its fault's trigger event. Bit-identical
       results — same tallies, same intervals — for every fault model at
       any pool size; only the wall clock changes.
-    @param retry_budget run every trial through
-      {!Simulator.run_recovering} with this rollback budget (the
-      rollback-scheme campaign path). Forces replay off: rollback
-      trials restore their own region checkpoints, which prefix replay
-      cannot express.
+    @param retry_budget run every trial as a region-rollback run with
+      this budget (the rollback-scheme campaign path): on the compiled
+      engine ({!Simulator.run_compiled_recovering}, lazy checkpoints,
+      composed with replay), or with [compile] off on the interpreter's
+      eager-snapshot reference ({!Simulator.run_recovering}), which
+      forces replay off. Both give the same tallies.
     @param allow_legacy_checkpoint accept resuming from an
       identity-less legacy checkpoint file (default false: such files
       are rejected loudly — see {!Checkpoint.load}).
     @param compile run every trial on the stage-2 closure-threaded
       engine ({!Simulator.run_compiled}, default true) — bit-identical
-      tallies to the interpreter, only faster. Rollback campaigns
-      ([retry_budget]) always stay on the interpreter.
+      tallies to the interpreter, only faster.
     @param shard [(k, n)]: simulate only the chunks whose index on the
       absolute chunk grid is congruent to [k] modulo [n] (default
       [(0, 1)] — everything). The grid is anchored at trial 0 and

@@ -14,6 +14,7 @@ module M = Casted_obs.Metrics
 type t = {
   golden : Outcome.run;
   snaps : State.snapshot array;  (* chronological, counters nondecreasing *)
+  heads : Compile.head array;  (* every rollback-region head, chronological *)
   stride : int;
   bytes : int;
 }
@@ -23,6 +24,7 @@ let snapshots t = t.snaps
 let count t = Array.length t.snaps
 let total_bytes t = t.bytes
 let stride t = t.stride
+let heads t = t.heads
 
 let default_target = 48
 let default_init_stride = 512
@@ -44,7 +46,20 @@ let capture ?(init_stride = default_init_stride) ?(target = default_target)
   let n = ref 0 in
   let stride = ref init_stride in
   let next_at = ref init_stride in
+  (* Rollback-region heads are recorded as markers, all of them: a
+     replayed rollback trial that fails before its own first head rolls
+     back to the golden head preceding its start snapshot. *)
+  let eblocks = d.Decode.funcs.(d.Decode.entry).Decode.blocks in
+  let heads = ref [] in
   let on_block st regs block =
+    if eblocks.(block).Decode.checkpoint then
+      heads :=
+        {
+          Compile.h_block = block;
+          h_dyn = st.State.dyn;
+          h_time = st.State.time;
+        }
+        :: !heads;
     if st.State.dyn >= !next_at then begin
       acc := State.snapshot st ~regs ~block :: !acc;
       incr n;
@@ -73,7 +88,13 @@ let capture ?(init_stride = default_init_stride) ?(target = default_target)
     M.incr ~by:(Array.length snaps) "replay.snapshots";
     M.incr ~by:bytes "replay.snapshot_bytes"
   end;
-  { golden; snaps; stride = !stride; bytes }
+  {
+    golden;
+    snaps;
+    heads = Array.of_list (List.rev !heads);
+    stride = !stride;
+    bytes;
+  }
 
 (* The counter arming the fault, as captured in a snapshot, and the
    event index the fault targets. A snapshot is a valid starting point
@@ -93,21 +114,53 @@ let target_of = function
   | Fault.Branch_flip { target_branch } -> target_branch
   | Fault.Xcluster_flip { target_read; _ } -> target_read
 
-let find t fault =
-  let target = target_of fault in
-  let n = Array.length t.snaps in
-  if n = 0 || counter_of fault t.snaps.(0) > target then None
+(* Greatest index i < n with [key i <= x], or -1; [key] is
+   nondecreasing. *)
+let latest n key x =
+  if n = 0 || key 0 > x then -1
   else begin
-    (* Greatest snapshot whose armed counter is still <= target; the
-       counters are nondecreasing in chronological order. *)
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if counter_of fault t.snaps.(mid) <= target then lo := mid
-      else hi := mid - 1
+      if key mid <= x then lo := mid else hi := mid - 1
     done;
-    Some t.snaps.(!lo)
+    !lo
   end
+
+(* The greatest snapshot whose armed counter is still <= target; the
+   counters are nondecreasing in chronological order. *)
+let find_index t fault =
+  latest (Array.length t.snaps)
+    (fun i -> counter_of fault t.snaps.(i))
+    (target_of fault)
+
+let find t fault =
+  match find_index t fault with -1 -> None | i -> Some t.snaps.(i)
+
+(* Every golden snapshot up to the trial's start lies on the trial's
+   own trajectory, so each is a valid base for rebuilding a rollback
+   checkpoint; the head list supplies the region head the trial sits
+   in when it starts. *)
+let recovery_prefix t fault =
+  match find_index t fault with
+  | -1 -> None
+  | i ->
+      let start = t.snaps.(i) in
+      let head =
+        match
+          latest (Array.length t.heads)
+            (fun j -> t.heads.(j).Compile.h_dyn)
+            start.State.s_dyn
+        with
+        | -1 -> None
+        | j -> Some t.heads.(j)
+      in
+      let base dyn =
+        match latest (i + 1) (fun j -> t.snaps.(j).State.s_dyn) dyn with
+        | -1 -> None
+        | j -> Some t.snaps.(j)
+      in
+      Some { Compile.start; head; base }
 
 let suffix_fraction t (snap : State.snapshot) =
   let g = t.golden.Outcome.dyn_insns in

@@ -54,6 +54,19 @@ val stride : t -> int
     full-length). O(log snapshots). *)
 val find : t -> Fault.t -> State.snapshot option
 
+(** Every rollback-region head (entry-function Cpt block top) the
+    golden run passed, chronological; empty for a program without
+    checkpoints. *)
+val heads : t -> Compile.head array
+
+(** [recovery_prefix t fault] is where a rollback trial under [fault]
+    starts on the compiled engine ({!Compile.run_recovering}): the
+    snapshot {!find} returns, the golden region head at or before it,
+    and the golden snapshots at or before it as rebuild bases. [None]
+    when {!find} is [None]. The set must have been captured without
+    [perfect_cache], like the rollback run itself. *)
+val recovery_prefix : t -> Fault.t -> Compile.prefix option
+
 (** Fraction of the golden run's dynamic instructions executed when
     replaying from [snap] ([1.0] = whole program). *)
 val suffix_fraction : t -> State.snapshot -> float

@@ -59,8 +59,9 @@ let record_metrics (r : Outcome.run) =
 
 (* Assemble the Outcome.run from a finished (or trapped) machine. Shared
    by the full, replayed and compiled paths so they can only differ
-   through State itself. *)
-let finish ~config ~output_base ~output_len ~digest_len ~with_mem_digest
+   through State itself. [outcome] records no metrics: a recovering run
+   records once, after folding in its wasted attempts ([fold_wasted]). *)
+let outcome ~config ~output_base ~output_len ~digest_len ~with_mem_digest
     (st : State.t) termination =
   let output = Memory.extract st.State.mem ~base:output_base ~len:output_len in
   let cycles = st.State.time + 1 in
@@ -94,8 +95,31 @@ let finish ~config ~output_base ~output_len ~digest_len ~with_mem_digest
          else "");
     }
   in
+  r
+
+let finish ~config ~output_base ~output_len ~digest_len ~with_mem_digest st
+    termination =
+  let r =
+    outcome ~config ~output_base ~output_len ~digest_len ~with_mem_digest st
+      termination
+  in
   record_metrics r;
   r
+
+(* Region rollback's cost accounting, shared by both engines: the cycles
+   and instructions of failed attempts (each measured from the
+   checkpoint it rolled back to) are added to the final attempt's run,
+   so a recovered run pays its true cost. *)
+let fold_wasted ~config ~cycles ~dyn (r : Outcome.run) =
+  if cycles = 0 && dyn = 0 then r
+  else
+    let total = r.Outcome.cycles + cycles in
+    {
+      r with
+      Outcome.cycles = total;
+      dyn_insns = r.Outcome.dyn_insns + dyn;
+      slots_total = total * config.Config.clusters * config.Config.issue_width;
+    }
 
 let termination_of f =
   try f () with

@@ -532,9 +532,11 @@ let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
   let entry = d.Decode.funcs.(d.Decode.entry) in
   let eblocks = entry.Decode.blocks in
   let latest = ref None in
+  (* Only the latest snapshot is ever restored, so each capture writes
+     into the storage of the one it replaces. *)
   let on_block st fr cur =
     if eblocks.(cur).Decode.checkpoint then
-      latest := Some (State.snapshot st ~regs:fr ~block:cur)
+      latest := Some (State.snapshot ?reuse:!latest st ~regs:fr ~block:cur)
   in
   let wasted_cycles = ref 0 in
   let wasted_dyn = ref 0 in
@@ -566,18 +568,19 @@ let run_recovering ?fault ?(fuel = max_int) ?(with_mem_digest = false)
         on_block = Some on_block; st; args_scratch = [||] }
     in
     let assemble termination =
-      let r = finish ctx ~with_mem_digest termination in
-      if !wasted_cycles = 0 && !wasted_dyn = 0 then r
-      else
-        let cycles = r.Outcome.cycles + !wasted_cycles in
-        {
-          r with
-          Outcome.cycles;
-          dyn_insns = r.Outcome.dyn_insns + !wasted_dyn;
-          slots_total =
-            cycles * ctx.config.Config.clusters
-            * ctx.config.Config.issue_width;
-        }
+      let r =
+        Runtime.fold_wasted ~config:ctx.config ~cycles:!wasted_cycles
+          ~dyn:!wasted_dyn
+          (Runtime.outcome ~config:ctx.config
+             ~output_base:d.Decode.output_base
+             ~output_len:d.Decode.output_len
+             ~digest_len:d.Decode.digest_len ~with_mem_digest ctx.st
+             termination)
+      in
+      (* Metrics once, on the folded run: the failed attempts' work is
+         part of what this run cost. *)
+      Runtime.record_metrics r;
+      r
     in
     let outcome =
       try
@@ -618,3 +621,7 @@ let run_compiled ?fault ?fuel ?with_mem_digest p =
 
 let run_compiled_replayed ?fault ?fuel ?with_mem_digest ~snapshot p =
   Compile.run_replayed ?fault ?fuel ?with_mem_digest ~snapshot p
+
+let run_compiled_recovering ?fault ?fuel ?with_mem_digest ?prefix ~retry_budget
+    p =
+  Compile.run_recovering ?fault ?fuel ?with_mem_digest ?prefix ~retry_budget p

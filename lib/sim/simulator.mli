@@ -99,7 +99,9 @@ val run_replayed :
     instructions thrown away by failed attempts are folded into the
     final {!Outcome.run}, so recovery pays its re-execution cost.
     On a schedule with no checkpoint blocks this is plain
-    [run_decoded]. Timeouts never retry: the fuel budget is global. *)
+    [run_decoded]. Timeouts never retry: the fuel budget is global.
+    This eager-snapshot form is the reference semantics that
+    {!run_compiled_recovering} is held to. *)
 val run_recovering :
   ?fault:Fault.t ->
   ?fuel:int ->
@@ -131,5 +133,19 @@ val run_compiled_replayed :
   ?fuel:int ->
   ?with_mem_digest:bool ->
   snapshot:State.snapshot ->
+  Compile.t ->
+  Outcome.run
+
+(** [run_compiled_recovering ~retry_budget compiled] is {!run_recovering}
+    on the compiled engine ({!Compile.run_recovering}): same outcome
+    field for field, with lazy checkpoints (a region head records a
+    marker; a rollback rebuilds the checkpoint by re-execution) and,
+    with [prefix], started from a golden-prefix snapshot. *)
+val run_compiled_recovering :
+  ?fault:Fault.t ->
+  ?fuel:int ->
+  ?with_mem_digest:bool ->
+  ?prefix:Compile.prefix ->
+  retry_budget:int ->
   Compile.t ->
   Outcome.run

@@ -158,8 +158,9 @@ let fresh ~image ~cache ~perfect =
    state, the cache state and the block index to resume at. The memory
    is a sparse delta over the (shared, never-mutated) pristine image, so
    a snapshot costs O(pages written so far), not O(arena). All captured
-   fields are deep copies, never mutated after capture — safe to share
-   read-only across pool domains. *)
+   fields are deep copies, never mutated after capture unless the
+   snapshot is handed back as [reuse] — safe to share read-only across
+   pool domains. *)
 type snapshot = {
   s_time : int;
   s_dyn : int;
@@ -176,7 +177,28 @@ type snapshot = {
   cache : Hierarchy.snapshot;
 }
 
-let snapshot st ~regs ~block =
+(* Copy [src] into [dst] when every array has the same length (always
+   the case for two frames of one function), else a fresh copy. *)
+let copy_regfile_into ~dst src =
+  let same a b = Array.length a = Array.length b in
+  if
+    same dst.gp src.gp && same dst.fpv src.fpv && same dst.prv src.prv
+  then begin
+    let blit s d = Array.blit s 0 d 0 (Array.length s) in
+    blit src.gp dst.gp;
+    blit src.fpv dst.fpv;
+    blit src.prv dst.prv;
+    blit src.gp_ready dst.gp_ready;
+    blit src.fp_ready dst.fp_ready;
+    blit src.pr_ready dst.pr_ready;
+    blit src.gp_home dst.gp_home;
+    blit src.fp_home dst.fp_home;
+    blit src.pr_home dst.pr_home;
+    dst
+  end
+  else copy_regfile src
+
+let snapshot ?reuse st ~regs ~block =
   {
     s_time = st.time;
     s_dyn = st.dyn;
@@ -187,10 +209,15 @@ let snapshot st ~regs ~block =
     s_corrections = st.corrections;
     s_roles = Array.copy st.roles;
     block;
-    regs = copy_regfile regs;
+    regs =
+      (match reuse with
+      | Some s -> copy_regfile_into ~dst:s.regs regs
+      | None -> copy_regfile regs);
     mem_base = st.base;
-    mem_delta = Memory.delta st.mem;
-    cache = Hierarchy.snapshot st.hier;
+    mem_delta =
+      Memory.delta ?reuse:(Option.map (fun s -> s.mem_delta) reuse) st.mem;
+    cache =
+      Hierarchy.snapshot ?reuse:(Option.map (fun s -> s.cache) reuse) st.hier;
   }
 
 let restore ~cache snap =

@@ -103,8 +103,12 @@ type snapshot = {
 }
 
 (** [snapshot st ~regs ~block] captures the machine; O(pages written +
-    cache sets touched), not O(arena + cache capacity). *)
-val snapshot : t -> regs:regfile -> block:int -> snapshot
+    cache sets touched), not O(arena + cache capacity). With [reuse] — a
+    snapshot of the same program that is never read again — the copy
+    is written into [reuse]'s arrays wherever their shapes match, so a
+    run that keeps only its latest snapshot allocates almost nothing
+    large per capture. *)
+val snapshot : ?reuse:snapshot -> t -> regs:regfile -> block:int -> snapshot
 
 (** [restore ~cache snap] rebuilds an equivalent machine on the calling
     domain's scratch (dirty-page undo + delta apply on the arena,

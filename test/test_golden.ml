@@ -23,7 +23,7 @@ let scheme_of_name name =
   | Some s -> s
   | None -> Alcotest.failf "fixture names unknown scheme %S" name
 
-let run_entry (e : Golden_fixture.entry) =
+let decode_entry (e : Golden_fixture.entry) =
   let w =
     match Registry.find e.Golden_fixture.workload with
     | Some w -> w
@@ -36,10 +36,9 @@ let run_entry (e : Golden_fixture.entry) =
       ~issue_width:e.Golden_fixture.issue ~delay:e.Golden_fixture.delay
       program
   in
-  Simulator.run_decoded (Decode.of_schedule compiled.Pipeline.schedule)
+  Decode.of_schedule compiled.Pipeline.schedule
 
-let check_entry (e : Golden_fixture.entry) () =
-  let r = run_entry e in
+let check_fields (e : Golden_fixture.entry) (r : Outcome.run) =
   let ck what = Alcotest.(check int) what in
   ck "cycles" e.Golden_fixture.cycles r.Outcome.cycles;
   ck "dyn_insns" e.Golden_fixture.dyn_insns r.Outcome.dyn_insns;
@@ -52,6 +51,9 @@ let check_entry (e : Golden_fixture.entry) () =
   Alcotest.(check string)
     "output md5" e.Golden_fixture.output_md5
     (Digest.to_hex (Digest.string r.Outcome.output))
+
+let check_entry (e : Golden_fixture.entry) () =
+  check_fields e (Simulator.run_decoded (decode_entry e))
 
 (* Also pin that the convenience entry point is literally the decoded
    path: run and run_decoded-of-decode agree on a fixture entry. *)
@@ -77,34 +79,49 @@ let test_run_matches_run_decoded () =
    snapshot (the most state restored, the least re-executed) still
    reproduces every pinned field. *)
 let check_entry_replayed (e : Golden_fixture.entry) () =
-  let w = Option.get (Registry.find e.Golden_fixture.workload) in
-  let program = w.W.build W.Fault in
-  let compiled =
-    Pipeline.compile
-      ~scheme:(scheme_of_name e.Golden_fixture.scheme)
-      ~issue_width:e.Golden_fixture.issue ~delay:e.Golden_fixture.delay
-      program
-  in
-  let d = Decode.of_schedule compiled.Pipeline.schedule in
+  let d = decode_entry e in
   let capture = Casted_sim.Replay.capture ~init_stride:64 ~target:16 d in
   let snaps = Casted_sim.Replay.snapshots capture in
   if Array.length snaps = 0 then
     Alcotest.failf "no snapshots captured for %s" e.Golden_fixture.workload;
-  let r =
-    Simulator.run_replayed ~snapshot:snaps.(Array.length snaps - 1) d
-  in
-  let ck what = Alcotest.(check int) what in
-  ck "cycles" e.Golden_fixture.cycles r.Outcome.cycles;
-  ck "dyn_insns" e.Golden_fixture.dyn_insns r.Outcome.dyn_insns;
-  ck "dyn_defs" e.Golden_fixture.dyn_defs r.Outcome.dyn_defs;
-  ck "dyn_mem" e.Golden_fixture.dyn_mem r.Outcome.dyn_mem;
-  ck "dyn_branches" e.Golden_fixture.dyn_branches r.Outcome.dyn_branches;
-  ck "dyn_xreads" e.Golden_fixture.dyn_xreads r.Outcome.dyn_xreads;
-  ck "dyn_checks" e.Golden_fixture.dyn_checks r.Outcome.dyn_checks;
-  ck "exit_code" e.Golden_fixture.exit_code r.Outcome.exit_code;
-  Alcotest.(check string)
-    "output md5" e.Golden_fixture.output_md5
-    (Digest.to_hex (Digest.string r.Outcome.output))
+  check_fields e
+    (Simulator.run_replayed ~snapshot:snaps.(Array.length snaps - 1) d)
+
+(* ROLLBACK entries through the compiled recovering path (lazy region
+   checkpoints): fault-free, from a fresh machine and replayed from
+   every capture snapshot, each run must land on the frozen fixture. *)
+let check_entry_recovering (e : Golden_fixture.entry) () =
+  let d = decode_entry e in
+  let p = Casted_sim.Compile.of_decoded d in
+  check_fields e (Simulator.run_compiled_recovering ~retry_budget:3 p);
+  let capture = Casted_sim.Replay.capture ~init_stride:64 ~target:16 d in
+  let snaps = Casted_sim.Replay.snapshots capture in
+  let heads = Casted_sim.Replay.heads capture in
+  if Array.length snaps = 0 || Array.length heads = 0 then
+    Alcotest.failf "no snapshots or region heads captured for %s"
+      e.Golden_fixture.workload;
+  Array.iteri
+    (fun i (start : Casted_sim.State.snapshot) ->
+      let at_or_before dyn arr key =
+        Array.fold_left
+          (fun acc x -> if key x <= dyn then Some x else acc)
+          None arr
+      in
+      let dyn = start.Casted_sim.State.s_dyn in
+      let prefix =
+        {
+          Casted_sim.Compile.start;
+          head =
+            at_or_before dyn heads (fun h -> h.Casted_sim.Compile.h_dyn);
+          base =
+            (fun d ->
+              at_or_before (min d dyn) (Array.sub snaps 0 (i + 1))
+                (fun s -> s.Casted_sim.State.s_dyn));
+        }
+      in
+      check_fields e
+        (Simulator.run_compiled_recovering ~prefix ~retry_budget:3 p))
+    snaps
 
 let suite =
   let case e =
@@ -122,8 +139,20 @@ let suite =
       `Quick
       (check_entry_replayed e)
   in
+  let recovering_case e =
+    Alcotest.test_case
+      (Printf.sprintf "compiled recovering: %s %s issue=%d delay=%d"
+         e.Golden_fixture.workload e.Golden_fixture.scheme
+         e.Golden_fixture.issue e.Golden_fixture.delay)
+      `Quick
+      (check_entry_recovering e)
+  in
   ( "golden",
     (Alcotest.test_case "run = run_decoded . decode" `Quick
        test_run_matches_run_decoded
     :: List.map case Golden_fixture.entries)
-    @ List.map replay_case Golden_fixture.entries )
+    @ List.map replay_case Golden_fixture.entries
+    @ List.map recovering_case
+        (List.filter
+           (fun e -> String.equal e.Golden_fixture.scheme "ROLLBACK")
+           Golden_fixture.entries) )
