@@ -113,6 +113,11 @@ let bench_out =
 let banner name =
   Printf.printf "\n================ %s ================\n%!" name
 
+(* One fault-free run of a schedule on the compiled engine, decode and
+   stage-2 compile included. *)
+let golden_run ?perfect_cache sched =
+  Simulator.run_compiled ?perfect_cache (Casted_sim.Compile.of_schedule sched)
+
 (* Machine-readable results accumulated while the sections run and
    written to [bench_out] at the end (schema in EXPERIMENTS.md). *)
 let section_times : (string * float) list ref = ref []
@@ -180,7 +185,7 @@ let compile_cycles ?options ?bug_options program ~scheme ~issue ~delay =
     Pipeline.compile ?options ?bug_options ~scheme ~issue_width:issue ~delay
       program
   in
-  (Simulator.run c.Pipeline.schedule).Outcome.cycles
+  (golden_run c.Pipeline.schedule).Outcome.cycles
 
 let section_ablations () =
   banner "Ablation: BUG tie-breaking (CASTED cycles, cjpeg)";
@@ -225,8 +230,8 @@ let section_ablations () =
   List.iter
     (fun scheme ->
       let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
-      let real = Simulator.run c.Pipeline.schedule in
-      let ideal = Simulator.run ~perfect_cache:true c.Pipeline.schedule in
+      let real = golden_run c.Pipeline.schedule in
+      let ideal = golden_run ~perfect_cache:true c.Pipeline.schedule in
       Printf.printf "%-7s real cache %6d cycles, perfect L1 %6d cycles\n"
         (Scheme.name scheme) real.Outcome.cycles ideal.Outcome.cycles)
     Scheme.all
@@ -260,7 +265,7 @@ let section_recovery () =
           (Casted_sched.Assign.Adaptive Bug.default_options)
           hardened
       in
-      let cycles s = (Simulator.run s).Outcome.cycles in
+      let cycles s = (golden_run s).Outcome.cycles in
       let base = cycles noed.Pipeline.schedule in
       let det_mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials:(min trials 150) det.Pipeline.schedule in
       let rec_mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials:(min trials 150) rec_schedule in
@@ -485,8 +490,8 @@ let section_selective () =
           Pipeline.compile ~scheme:Scheme.Noed ~issue_width:2 ~delay:1
             program
         in
-        let base = (Simulator.run noed.Pipeline.schedule).Outcome.cycles in
-        let cycles = (Simulator.run s).Outcome.cycles in
+        let base = (golden_run noed.Pipeline.schedule).Outcome.cycles in
+        let cycles = (golden_run s).Outcome.cycles in
         let mc = Montecarlo.run ~pool:(Engine.pool engine) ~seed ~trials:(min trials 150) s in
         (stats, float_of_int cycles /. float_of_int base, mc)
       in
@@ -601,11 +606,34 @@ let section_sim_throughput () =
     measure ~label:"compiled" ~replay:true ~compiled:stage2 1
   in
   let _, cn = measure ~label:"compiled" ~replay:true ~compiled:stage2 jobs in
+  (* Golden runs per second on the compiled engine over the decoded
+     interpreter (the reference): the speedup every sweep point, single
+     run and replay capture gets. Both run warm (decoded and compiled
+     above, one untimed run first) over windows of at least a quarter
+     second, after the trial rates so their heap churn cannot tax them;
+     two rates of the same program on the same box, so a
+     machine-independent ratio. *)
+  let golden_rate run =
+    ignore (run () : Outcome.run);
+    let t0 = Unix.gettimeofday () in
+    let rec go n =
+      ignore (run () : Outcome.run);
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt >= 0.25 then float_of_int n /. dt else go (n + 1)
+    in
+    go 1
+  in
+  let golden_speedup =
+    golden_rate (fun () -> Simulator.run_compiled stage2)
+    /. golden_rate (fun () -> Simulator.run_decoded decoded)
+  in
   let speedup = tps_replay1 /. tps_full1 in
   let compiled_speedup = tps_compiled1 /. tps_replay1 in
   Printf.printf "replay speedup (jobs=1): %.2fx\n%!" speedup;
   Printf.printf "compiled speedup over decoded replay (jobs=1): %.2fx\n%!"
     compiled_speedup;
+  Printf.printf "golden run speedup, compiled over the interpreter: %.2fx\n%!"
+    golden_speedup;
   sim_throughput_json :=
     Obs.Json.Obj
       [
@@ -629,6 +657,7 @@ let section_sim_throughput () =
         ("compiledN", cn);
         ("replay_speedup_jobs1", f speedup);
         ("compiled_speedup_jobs1", f compiled_speedup);
+        ("golden_speedup_vs_reference", f golden_speedup);
       ]
 
 (* The persistent result store: how much a warm store actually saves.
@@ -726,7 +755,8 @@ let section_microbench () =
     Casted_machine.Latency.of_op config.Casted_machine.Config.latencies
       i.Casted_ir.Insn.op
   in
-  let golden = Simulator.run compiled.Pipeline.schedule in
+  let stage2 = Casted_sim.Compile.of_schedule compiled.Pipeline.schedule in
+  let golden = Simulator.run_compiled stage2 in
   let fuel = 10 * golden.Outcome.dyn_insns in
   let tests =
     [
@@ -752,7 +782,7 @@ let section_microbench () =
                   ~delay:2 program)));
       Test.make ~name:"fig6_7.simulate"
         (Staged.stage (fun () ->
-             ignore (Simulator.run compiled.Pipeline.schedule)));
+             ignore (golden_run compiled.Pipeline.schedule)));
       (* Fig. 8: the list scheduler + BUG on the hottest block. *)
       Test.make ~name:"fig8.schedule_block"
         (Staged.stage (fun () ->
@@ -775,8 +805,7 @@ let section_microbench () =
                 Casted_sim.Fault.random Casted_sim.Fault.Reg_bit rng
                   ~population:pop
               in
-              ignore
-                (Simulator.run ~fault ~fuel compiled.Pipeline.schedule)));
+              ignore (Simulator.run_compiled ~fault ~fuel stage2)));
       (* Algorithm 1: the detection pass alone. *)
       Test.make ~name:"alg1.transform"
         (Staged.stage (fun () ->

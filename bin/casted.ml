@@ -18,6 +18,11 @@ module Obs = Casted_obs
 module Store = Casted_store.Store
 module Work = Casted_store.Work
 
+(* One fault-free run of a schedule on the compiled engine (decode and
+   stage-2 compile included): what run, trace, asm and profile print. *)
+let golden_run ?profile sched =
+  Simulator.run_compiled ?profile (Casted_sim.Compile.of_schedule sched)
+
 let version = "1.1.0"
 
 let find_workload name =
@@ -295,7 +300,7 @@ let run_cmd =
         let compiled =
           Pipeline.compile ~scheme ~issue_width:issue ~delay program
         in
-        let r = Simulator.run compiled.Pipeline.schedule in
+        let r = golden_run compiled.Pipeline.schedule in
         Format.printf "%s / %s on %a@." bench (Scheme.name scheme)
           Casted_machine.Config.pp compiled.Pipeline.config;
         Format.printf "%a@." Outcome.pp r;
@@ -665,7 +670,7 @@ let profile_cmd =
     let program = w.W.build size in
     let compiled = Pipeline.compile ~scheme ~issue_width:issue ~delay program in
     let profile = Casted_sim.Profile.create () in
-    let r = Simulator.run ~profile compiled.Pipeline.schedule in
+    let r = golden_run ~profile compiled.Pipeline.schedule in
     if json then begin
       let block (row : Casted_sim.Profile.row) =
         Obs.Json.Obj
@@ -761,7 +766,7 @@ let asm_cmd =
             if emit then
               print_string (Casted_ir.Asm.print compiled.Pipeline.program)
             else begin
-              let r = Simulator.run compiled.Pipeline.schedule in
+              let r = golden_run compiled.Pipeline.schedule in
               Format.printf "%s / %s: %a@." file (Scheme.name scheme)
                 Outcome.pp r
             end;
@@ -793,7 +798,7 @@ let trace_cmd =
         let compiled =
           Pipeline.compile ~scheme ~issue_width:issue ~delay program
         in
-        let r = Simulator.run compiled.Pipeline.schedule in
+        let r = golden_run compiled.Pipeline.schedule in
         Format.printf "%s / %s on %a@." bench (Scheme.name scheme)
           Casted_machine.Config.pp compiled.Pipeline.config;
         Format.printf "golden: %a@." Outcome.pp r;

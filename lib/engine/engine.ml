@@ -146,10 +146,8 @@ let compile t key = timed t `Compile (fun () -> Cache.compile t.cache key)
 
 let simulate t key =
   let compiled = compile t key in
-  let decoded = Cache.decoded t.cache key in
-  let run =
-    timed t `Simulate (fun () -> Simulator.run_decoded decoded)
-  in
+  let stage2 = Cache.compiled t.cache key in
+  let run = timed t `Simulate (fun () -> Simulator.run_compiled stage2) in
   (compiled, run)
 
 (* Rollback campaigns run every trial as a region-rollback run with
@@ -612,7 +610,7 @@ let sweep t ~size ?benchmarks ?(issues = [ 1; 2; 3; 4 ])
       Array.to_list
         (Pool.map t.pool
            (fun ((key : Cache.key), record_delay) ->
-             let run = Simulator.run_decoded (Cache.decoded t.cache key) in
+             let run = Simulator.run_compiled (Cache.compiled t.cache key) in
              (match run.Outcome.termination with
              | Outcome.Exit 0 -> ()
              | term ->

@@ -84,6 +84,8 @@ val run_jobs : t -> job list -> outcome list
 
 val compile : t -> Cache.key -> Casted_detect.Pipeline.compiled
 
+(** [simulate t key] runs [key]'s program once, fault-free, on the
+    compiled engine ({!Cache.compiled}). *)
 val simulate :
   t -> Cache.key -> Casted_detect.Pipeline.compiled * Casted_sim.Outcome.run
 
@@ -213,7 +215,10 @@ val campaign_identity : Cache.key -> Casted_sim.Fault.model -> string
 
 (** [sweep t ~size ()] runs the performance grid of the paper's
     Figs. 6-8: NOED and SCED once per issue width, DCED and CASTED per
-    (issue, delay). Points come back in deterministic grid order. *)
+    (issue, delay). Every point is one golden run on the compiled
+    engine, through the point's memoized stage-2 program
+    ({!Cache.compiled}). Points come back in deterministic grid
+    order. *)
 val sweep :
   t ->
   size:Casted_workloads.Workload.size ->

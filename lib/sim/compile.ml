@@ -56,6 +56,12 @@ type cctx = {
   st : State.t;
   funcs : cfunc array;
   marks : marks;
+  (* Golden-run modes, [None] on every trial: the capture hook fires at
+     entry-function block-loop tops with an empty call stack (the only
+     points where State.snapshot is valid); the profile takes one
+     visit/cycle record per completed block. *)
+  capture : (State.t -> State.regfile -> int -> unit) option;
+  profile : Profile.t option;
   fuel : int;
   delay : int;  (* cross-cluster interconnect delay, from the config *)
   (* Pre-extracted fault triggers: counter value (post-increment) at
@@ -93,6 +99,9 @@ and cbundle = {
 and cblock = {
   c_bundles : cbundle array;
   c_cpt : bool;  (* a rollback-region head: entry function, Cpt block *)
+  c_entry : bool;  (* an entry-function block: a capture point *)
+  c_func_name : string;  (* profile key: function name and block label *)
+  c_label : string;
 }
 and cfunc = { c_func : Func.t; c_blocks : cblock array }
 
@@ -221,7 +230,7 @@ let scan_q st (ready : int array) (home : int array) delay (q : int array) =
     if need > st.State.tmax then st.State.tmax <- need
   done
 
-(* A region head at the loop top of [cur]: the interpreter's on_block
+(* A region head at the loop top of [cur]: the interpreter's eager
    snapshot point, reduced to three integer writes. Only entry-function
    blocks carry the flag; a recursive call into the entry function
    (depth > 1) is not a head, as in the interpreter. *)
@@ -238,12 +247,15 @@ let region_head c cur =
 (* The block loop — same two-phase bundle semantics as the interpreter:
    compute the lockstep issue time over every operand of the whole
    bundle, then execute the flattened body at that time. Tail-recursive;
-   the only per-block work beyond the bundles is the region-head flag
-   test. *)
+   the only per-block work beyond the bundles is one test each for the
+   region-head flag, the capture hook and the profile. *)
 let rec exec_cblocks c (fr : State.regfile) (blocks : cblock array) cur =
   let st = c.st in
   let b = Array.unsafe_get blocks cur in
   if b.c_cpt then region_head c cur;
+  (match c.capture with
+  | Some hook when b.c_entry && st.State.depth = 1 -> hook st fr cur
+  | Some _ | None -> ());
   let block_start = st.State.time + 1 in
   st.State.xfer <- State.xfer_none;
   let bundles = b.c_bundles in
@@ -263,6 +275,11 @@ let rec exec_cblocks c (fr : State.regfile) (blocks : cblock array) cur =
       (Array.unsafe_get body k) c fr t
     done
   done;
+  (match c.profile with
+  | Some p ->
+      Profile.record p ~func:b.c_func_name ~label:b.c_label
+        ~cycles:(st.State.time + 1 - block_start)
+  | None -> ());
   if st.State.xfer >= 0 then exec_cblocks c fr blocks st.State.xfer
   else if st.State.xfer = State.xfer_return then ()
   else invalid_arg "Simulator: block finished without control transfer"
@@ -780,15 +797,21 @@ let of_decoded (d : Decode.t) : t =
         let func = df.Decode.func in
         let n c = max 1 (Func.reg_count func c) in
         let sizes = (n Reg.Gp, n Reg.Fp, n Reg.Pr) in
+        let entry = fi = d.Decode.entry in
         let compile_block (db : Decode.dblock) =
           {
             c_bundles = Array.map (compile_bundle d ~sizes) db.Decode.bundles;
-            c_cpt = fi = d.Decode.entry && db.Decode.checkpoint;
+            c_cpt = entry && db.Decode.checkpoint;
+            c_entry = entry;
+            c_func_name = func.Func.name;
+            c_label = db.Decode.label;
           }
         in
         { c_func = func; c_blocks = Array.map compile_block df.Decode.blocks }
       in
       { d; cfuncs = Array.mapi compile_func d.Decode.funcs })
+
+let of_schedule sched = of_decoded (Decode.of_schedule sched)
 
 (* ---- Entry points ---- *)
 
@@ -808,7 +831,8 @@ let arms_of_fault = function
 let new_marks () =
   { mk_block = -1; mk_dyn = -1; mk_time = 0; stop_dyn = max_int }
 
-let make_cctx ?(marks = new_marks ()) (p : t) ~fault ~fuel st =
+let make_cctx ?(marks = new_marks ()) ?capture ?profile (p : t) ~fault ~fuel
+    st =
   let ( def_arm, def_bit, def_width, mem_arm, mem_off, mem_bit, br_arm, x_arm,
         x_bit ) =
     arms_of_fault fault
@@ -817,6 +841,8 @@ let make_cctx ?(marks = new_marks ()) (p : t) ~fault ~fuel st =
     st;
     funcs = p.cfuncs;
     marks;
+    capture;
+    profile;
     fuel;
     delay = p.d.Decode.config.Config.delay;
     def_arm;
@@ -852,13 +878,14 @@ let exec_entry c entry =
   exec_cblocks c fr cf.c_blocks 0;
   st.State.depth <- st.State.depth - 1
 
-let run ?fault ?(fuel = max_int) ?(with_mem_digest = false) (p : t) =
+let run ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
+    ?(with_mem_digest = false) ?capture (p : t) =
   let d = p.d in
   let st =
     State.fresh ~image:d.Decode.image ~cache:d.Decode.config.Config.cache
-      ~perfect:false
+      ~perfect:perfect_cache
   in
-  let c = make_cctx p ~fault ~fuel st in
+  let c = make_cctx ?capture ?profile p ~fault ~fuel st in
   let termination =
     Runtime.termination_of (fun () ->
         exec_entry c d.Decode.entry;
@@ -869,10 +896,10 @@ let run ?fault ?(fuel = max_int) ?(with_mem_digest = false) (p : t) =
     ~output_len:d.Decode.output_len ~digest_len:d.Decode.digest_len
     ~with_mem_digest st termination
 
-(* Replay composition: restore a golden-prefix snapshot (captured by the
-   decoded interpreter — block boundaries and counters are engine
-   independent) and run only the entry function's suffix on the compiled
-   path. *)
+(* Replay composition: restore a golden-prefix snapshot (captured by
+   [run ~capture]; block boundaries and counters are engine independent,
+   so a snapshot from either engine will do) and run only the entry
+   function's suffix on the compiled path. *)
 let run_replayed ?fault ?(fuel = max_int) ?(with_mem_digest = false) ~snapshot
     (p : t) =
   let d = p.d in

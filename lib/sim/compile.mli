@@ -23,19 +23,38 @@ val of_decoded : Decode.t -> t
 (** Lower a decoded program to threaded code. Costs one pass over the
     program; memoized per schedule in [Engine.Cache]. *)
 
+val of_schedule : Casted_sched.Schedule.t -> t
+(** [of_decoded (Decode.of_schedule sched)]: decode and lower in one
+    step, for a one-off run. *)
+
 val decoded : t -> Decode.t
 (** The decoded program this was compiled from (shared, not copied). *)
 
 val run :
   ?fault:Fault.t ->
   ?fuel:int ->
+  ?perfect_cache:bool ->
+  ?profile:Profile.t ->
   ?with_mem_digest:bool ->
+  ?capture:(State.t -> State.regfile -> int -> unit) ->
   t ->
   Outcome.run
 (** Execute a compiled program from a fresh machine state. Same
     semantics and same results as [Simulator.run_decoded] on the
-    underlying decoded program. The interpreter's [profile] and
-    [perfect_cache] modes have no compiled counterpart. *)
+    underlying decoded program, including its [perfect_cache] (every
+    access hits in L1) and [profile] (one visit/cycle record per
+    completed block, at any call depth) modes.
+
+    @param capture called at every entry-function block-loop top where
+      the call stack is empty (depth 1) with the machine state, the
+      entry register file and the block index about to execute — the
+      only program points where {!State.snapshot} is valid. The golden
+      pass of {!Replay.capture} uses it to record snapshots; a hook
+      that only copies state leaves the run bit-identical.
+
+    [capture] and [profile] cost one test each per executed block and
+    [perfect_cache] nothing, so a trial pays three predictable branches
+    per block (these two and the rollback region-head flag). *)
 
 val run_replayed :
   ?fault:Fault.t ->
@@ -44,10 +63,10 @@ val run_replayed :
   snapshot:State.snapshot ->
   t ->
   Outcome.run
-(** Restore a golden-prefix snapshot (captured on the decoded
-    interpreter — snapshots are engine independent) and execute only the
-    suffix on the compiled path. Same results as
-    [Simulator.run_replayed] with the same snapshot and fault. *)
+(** Restore a golden-prefix snapshot (from {!Replay.capture}; snapshots
+    are engine independent) and execute only the suffix on the compiled
+    path. Same results as [Simulator.run_replayed] with the same
+    snapshot and fault. *)
 
 (** A rollback-region head the golden run passed: the entry-function
     block, and the dynamic instruction count and clock at its loop

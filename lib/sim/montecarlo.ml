@@ -110,18 +110,28 @@ let population_of_run (r : Outcome.run) =
     xcluster_reads = r.Outcome.dyn_xreads;
   }
 
-let golden_decoded ?(fuel_factor = 10) ?(replay = false) ?replay_set decoded =
-  (* The replay capture pass IS a golden run (the snapshot hook only
-     copies state), so campaigns with replay on pay no extra run. *)
+let golden_decoded ?(fuel_factor = 10) ?(replay = false) ?replay_set ?compiled
+    decoded =
+  (* Golden runs go on the compiled engine, through the caller's stage-2
+     program when it has one. The replay capture pass IS a golden run
+     (the snapshot hook only copies state), so campaigns with replay on
+     pay no extra run. *)
+  let compiled =
+    lazy
+      (match compiled with Some p -> p | None -> Compile.of_decoded decoded)
+  in
   let replay_set =
     match replay_set with
     | Some _ as r -> r
-    | None -> if replay then Some (Replay.capture decoded) else None
+    | None ->
+        if replay then
+          Some (Replay.capture ~compiled:(Lazy.force compiled) decoded)
+        else None
   in
   let run =
     match replay_set with
     | Some r -> Replay.golden r
-    | None -> Simulator.run_decoded decoded
+    | None -> Simulator.run_compiled (Lazy.force compiled)
   in
   (match run.Outcome.termination with
   | Outcome.Exit _ -> ()
@@ -366,7 +376,7 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let replay_set = if reference_rollback then None else replay_set in
   let g =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.golden" (fun () ->
-        golden_decoded ~fuel_factor ~replay ?replay_set decoded)
+        golden_decoded ~fuel_factor ~replay ?replay_set ?compiled decoded)
   in
   (* A program with no fault sites for this model (no memory traffic
      for [Mem], a single cluster for [Xcluster], ...) has nothing to

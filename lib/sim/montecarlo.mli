@@ -119,15 +119,24 @@ val population_of_run : Outcome.run -> Fault.population
     exit cleanly. *)
 val golden : ?fuel_factor:int -> Casted_sched.Schedule.t -> golden
 
-(** {!golden} over an already-decoded program (skips the decode).
+(** {!golden} over an already-decoded program (skips the decode). The
+    golden run executes on the compiled engine.
 
     @param replay capture a snapshot set during the golden run
       ({!Replay.capture}) for prefix replay; the captured golden run is
       bit-identical to a plain one (default false).
     @param replay_set use this pre-captured set (e.g. the engine
-      cache's memoized one) instead of capturing; implies replay. *)
+      cache's memoized one) instead of capturing; implies replay.
+    @param compiled the stage-2 program of the decoded one (e.g. the
+      engine cache's memoized one); without it the golden run compiles
+      its own. *)
 val golden_decoded :
-  ?fuel_factor:int -> ?replay:bool -> ?replay_set:Replay.t -> Decode.t -> golden
+  ?fuel_factor:int ->
+  ?replay:bool ->
+  ?replay_set:Replay.t ->
+  ?compiled:Compile.t ->
+  Decode.t ->
+  golden
 
 (** [trial ~golden ~seed ~index schedule] runs faulty trial [index] of
     a campaign with the given campaign [seed] and fault [model]

@@ -30,9 +30,16 @@ let default_target = 48
 let default_init_stride = 512
 
 let capture ?(init_stride = default_init_stride) ?(target = default_target)
-    ?fuel ?(perfect_cache = false) (d : Decode.t) =
+    ?fuel ?with_mem_digest ?compiled (d : Decode.t) =
   if init_stride < 1 then invalid_arg "Replay.capture: init_stride < 1";
   if target < 1 then invalid_arg "Replay.capture: target < 1";
+  let compiled =
+    match compiled with
+    | Some p when Compile.decoded p == d -> p
+    | Some _ ->
+        invalid_arg "Replay.capture: compiled program is not of this decoded one"
+    | None -> Compile.of_decoded d
+  in
   Trace.with_span ~cat:"sim" "sim.replay"
     ~args:[ ("target", Casted_obs.Json.Int target) ]
   @@ fun () ->
@@ -51,7 +58,7 @@ let capture ?(init_stride = default_init_stride) ?(target = default_target)
      back to the golden head preceding its start snapshot. *)
   let eblocks = d.Decode.funcs.(d.Decode.entry).Decode.blocks in
   let heads = ref [] in
-  let on_block st regs block =
+  let hook st regs block =
     if eblocks.(block).Decode.checkpoint then
       heads :=
         {
@@ -78,8 +85,10 @@ let capture ?(init_stride = default_init_stride) ?(target = default_target)
     end
   in
   (* The hook only copies state, so this golden run is bit-identical to
-     a plain [run_decoded] — campaigns reuse it as their reference. *)
-  let golden = Simulator.run_decoded ?fuel ~perfect_cache ~on_block d in
+     a plain run on either engine — campaigns reuse it as their
+     reference. It always models the real cache hierarchy, as every
+     replayed trial does. *)
+  let golden = Compile.run ?fuel ?with_mem_digest ~capture:hook compiled in
   let snaps = Array.of_list (List.rev !acc) in
   let bytes =
     Array.fold_left (fun a s -> a + State.snapshot_bytes s) 0 snaps

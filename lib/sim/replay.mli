@@ -6,7 +6,8 @@
     reads), and a faulty trial is bit-identical to the golden run until
     that counter reaches the fault's target. So a {!State.snapshot}
     taken while the counter is still at or below the target is a valid
-    starting point: {!Simulator.run_replayed} from it reproduces the
+    starting point: {!Simulator.run_compiled_replayed} (or the
+    interpreter's {!Simulator.run_replayed}) from it reproduces the
     full run exactly, paying only the post-snapshot suffix.
 
     A capture set is immutable after {!capture} and safe to share
@@ -15,24 +16,34 @@
 
 type t
 
-(** [capture decoded] executes one golden run, recording snapshots at
+(** [capture decoded] executes one golden run on the compiled engine
+    ({!Compile.run} with its capture hook), recording snapshots at
     entry-function block boundaries roughly every [init_stride] dynamic
     instructions; whenever twice [target] snapshots accumulate, every
     other one is dropped and the stride doubles (single pass, no need
-    to know the program length up front, deterministic). The run is
-    traced as a [sim.replay] span and counted in the
-    [replay.snapshots]/[replay.snapshot_bytes] metrics. *)
+    to know the program length up front, deterministic). The run always
+    models the real cache hierarchy. It is traced as a [sim.replay]
+    span and counted in the [replay.snapshots]/[replay.snapshot_bytes]
+    metrics.
+
+    @param compiled the stage-2 program of [decoded] (e.g. the engine
+      cache's memoized one), so a cell compiles once; without it the
+      capture compiles its own. Raises [Invalid_argument] when it was
+      compiled from a different decoded program.
+    @param with_mem_digest fill the golden run's [mem_digest] (default
+      false), for callers that compare it field for field. *)
 val capture :
   ?init_stride:int ->
   ?target:int ->
   ?fuel:int ->
-  ?perfect_cache:bool ->
+  ?with_mem_digest:bool ->
+  ?compiled:Compile.t ->
   Decode.t ->
   t
 
 (** The golden run the capture pass executed — bit-identical to a plain
-    [Simulator.run_decoded] of the same program (the snapshot hook only
-    copies state). *)
+    [Simulator.run_decoded] or [Simulator.run_compiled] of the same
+    program (the snapshot hook only copies state). *)
 val golden : t -> Outcome.run
 
 (** Number of snapshots retained. *)
@@ -63,8 +74,7 @@ val heads : t -> Compile.head array
     starts on the compiled engine ({!Compile.run_recovering}): the
     snapshot {!find} returns, the golden region head at or before it,
     and the golden snapshots at or before it as rebuild bases. [None]
-    when {!find} is [None]. The set must have been captured without
-    [perfect_cache], like the rollback run itself. *)
+    when {!find} is [None]. *)
 val recovery_prefix : t -> Fault.t -> Compile.prefix option
 
 (** Fraction of the golden run's dynamic instructions executed when

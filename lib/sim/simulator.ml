@@ -199,7 +199,8 @@ let rec exec_func ctx (df : Decode.dfunc) ~nargs : State.value option =
    re-enter the entry function at an arbitrary block. At the loop top
    with depth = 1 (entry function, call stack empty) the machine state
    is fully described by State.t + the entry register file — that is
-   where the snapshot hook fires, and where State.snapshot is valid. *)
+   where run_recovering's snapshot hook fires, and where State.snapshot
+   is valid. *)
 and exec_blocks ctx (fr : State.regfile) (df : Decode.dfunc) ~start :
     State.value option =
   let st = ctx.st in
@@ -474,13 +475,13 @@ let finish ctx ~with_mem_digest termination =
 let termination_of = Runtime.termination_of
 
 let run_decoded ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
-    ?(with_mem_digest = false) ?on_block (d : Decode.t) =
+    ?(with_mem_digest = false) (d : Decode.t) =
   let st =
     State.fresh ~image:d.Decode.image ~cache:d.Decode.config.Config.cache
       ~perfect:perfect_cache
   in
   let ctx =
-    { d; config = d.Decode.config; fuel; fault; profile; on_block; st;
+    { d; config = d.Decode.config; fuel; fault; profile; on_block = None; st;
       args_scratch = [||] }
   in
   let entry = d.Decode.funcs.(d.Decode.entry) in
@@ -616,8 +617,8 @@ let run ?fault ?fuel ?perfect_cache ?profile ?with_mem_digest sched =
 
 (* Stage-2 execution: the closure-threaded engine (Compile), re-exported
    here so every run entry point lives behind one module. *)
-let run_compiled ?fault ?fuel ?with_mem_digest p =
-  Compile.run ?fault ?fuel ?with_mem_digest p
+let run_compiled ?fault ?fuel ?perfect_cache ?profile ?with_mem_digest p =
+  Compile.run ?fault ?fuel ?perfect_cache ?profile ?with_mem_digest p
 
 let run_compiled_replayed ?fault ?fuel ?with_mem_digest ~snapshot p =
   Compile.run_replayed ?fault ?fuel ?with_mem_digest ~snapshot p

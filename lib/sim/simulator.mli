@@ -52,28 +52,24 @@ val run :
     domain also keeps a private scratch memory arena that is restored
     from [decoded.image] with one blit per run.
 
-    @param on_block called at every entry-function block-loop top where
-      the call stack is empty (depth 1) with the machine state, the
-      entry register file and the block index about to execute — the
-      only program points where {!State.snapshot} is valid. The golden
-      pass of {!Replay.capture} uses it to record snapshots; plain runs
-      leave it unset and pay nothing. *)
+    This interpreter is the reference the compiled engine is held to:
+    the verify oracle, the golden fixture and the tests run it; golden
+    runs, sweeps and trials run {!run_compiled}. *)
 val run_decoded :
   ?fault:Fault.t ->
   ?fuel:int ->
   ?perfect_cache:bool ->
   ?profile:Profile.t ->
   ?with_mem_digest:bool ->
-  ?on_block:(State.t -> State.regfile -> int -> unit) ->
   Decode.t ->
   Outcome.run
 
-(** [run_replayed ~snapshot decoded] restores [snapshot] (captured by a
-    golden pass over the same decoded program) and executes only the
-    remaining suffix. Bit-identical to
+(** [run_replayed ~snapshot decoded] restores [snapshot] (captured by
+    {!Replay.capture}'s golden pass over the same decoded program, on
+    the compiled engine; snapshots are engine independent) and executes
+    only the remaining suffix. Bit-identical to
     [run_decoded ?fault ?fuel decoded] whenever the snapshot precedes
-    the fault's trigger event (see {!Replay.find}) and the snapshot's
-    perfect-cache mode matches the run's: the prefix a full run would
+    the fault's trigger event (see {!Replay.find}): the prefix a full run would
     execute before the trigger is exactly the golden prefix the
     snapshot captured. Counters and cycle counts resume from the
     snapshot, so every {!Outcome.run} field reports whole-run totals. *)
@@ -113,21 +109,26 @@ val run_recovering :
 (** [run_compiled compiled] executes a stage-2-compiled program
     ({!Compile.of_decoded}) on the closure-threaded engine.
     Bit-identical to [run_decoded] on the underlying decoded program —
-    same {!Outcome.run} field for field — but with every per-instruction
-    dispatch decision resolved at compile time; the verify oracle's
-    four-way cross-check holds the engines to that contract. Campaigns
-    compile once (memoized in [Engine.Cache]) and run trials on this
-    path by default. *)
+    same {!Outcome.run} field for field, and the same [perfect_cache]
+    and [profile] modes — but with every per-instruction dispatch
+    decision resolved at compile time; the verify oracle's four-way
+    cross-check holds the engines to that contract. Campaigns, sweeps,
+    single runs and replay capture compile once (memoized in
+    [Engine.Cache]) and run on this path. *)
 val run_compiled :
   ?fault:Fault.t ->
   ?fuel:int ->
+  ?perfect_cache:bool ->
+  ?profile:Profile.t ->
   ?with_mem_digest:bool ->
   Compile.t ->
   Outcome.run
 
 (** [run_compiled_replayed ~snapshot compiled] is {!run_replayed} on the
-    compiled engine: restore a golden-prefix snapshot (snapshots are
-    engine independent) and execute only the suffix as threaded code. *)
+    compiled engine: restore a golden-prefix snapshot (captured on the
+    compiled engine by {!Replay.capture}; snapshots are engine
+    independent, so either replay entry point takes it) and execute
+    only the suffix as threaded code. *)
 val run_compiled_replayed :
   ?fault:Fault.t ->
   ?fuel:int ->

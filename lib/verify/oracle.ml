@@ -115,15 +115,24 @@ let cross_check cell a b = cross_check_with ~label:"run vs run_decoded" cell a b
 
 (* The replay legs of the four-way check: capture a small snapshot set
    on the cell's program (dense stride, so the thinning path is
-   exercised too) and replay the fault-free run from EVERY snapshot —
-   on both the decoded interpreter and the stage-2 compiled engine.
-   Each replayed suffix must land on the decoded run field for field —
-   cycles, every counter, output, cache stats, the whole memory image.
-   Any miss means State.snapshot/restore lost a piece of the machine
-   (or the compiled engine resumes it differently). *)
+   exercised too; the capture runs on the compiled engine) and replay
+   the fault-free run from EVERY snapshot — on both the decoded
+   interpreter and the stage-2 compiled engine. Each replayed suffix
+   must land on the decoded run field for field — cycles, every
+   counter, output, cache stats, the whole memory image. Any miss means
+   State.snapshot/restore lost a piece of the machine (or the compiled
+   engine resumes it differently). The capture's own golden run is held
+   to the decoded run too, at no extra run: a capture hook that
+   perturbed the machine would otherwise show only through the replayed
+   legs. *)
 let replay_cross_check ?fuel cell (decoded_run : Outcome.run) decoded stage2 =
-  let r = Replay.capture ~init_stride:32 ~target:4 ?fuel decoded in
-  Replay.snapshots r |> Array.to_list
+  let r =
+    Replay.capture ~init_stride:32 ~target:4 ?fuel ~with_mem_digest:true
+      ~compiled:stage2 decoded
+  in
+  cross_check_with ~label:"run_decoded vs capture golden" cell decoded_run
+    (Replay.golden r)
+  @ (Replay.snapshots r |> Array.to_list
   |> List.concat_map (fun snapshot ->
          let replayed =
            Simulator.run_replayed ?fuel ~with_mem_digest:true ~snapshot
@@ -136,7 +145,7 @@ let replay_cross_check ?fuel cell (decoded_run : Outcome.run) decoded stage2 =
          cross_check_with ~label:"run_decoded vs run_replayed" cell
            decoded_run replayed
          @ cross_check_with ~label:"run_decoded vs compiled_replayed" cell
-             decoded_run compiled_replayed)
+             decoded_run compiled_replayed))
 
 let check_cell ?options ?fuel ~reference:(ref_run : Outcome.run) program cell
     =

@@ -16,7 +16,10 @@
     and [Simulator.run_replayed] / [Simulator.run_compiled_replayed]
     from {e every} snapshot of a dense {!Casted_sim.Replay.capture} vs
     the decoded run (golden-prefix replay must lose no piece of the
-    machine state, on either engine). *)
+    machine state, on either engine). The capture's own golden run,
+    executed on the compiled engine with the snapshot hook armed, is
+    held to the decoded run as well (["run_decoded vs capture
+    golden"]). *)
 
 type cell = {
   scheme : Casted_detect.Scheme.t;

@@ -5,6 +5,10 @@ module Utilization = Casted_report.Utilization
 module Transform = Casted_detect.Transform
 module W = Casted_workloads.Workload
 module Registry = Casted_workloads.Registry
+module Decode = Casted_sim.Decode
+module Compile = Casted_sim.Compile
+module Cache = Casted_engine.Cache
+module Engine = Casted_engine.Engine
 
 (* --- register pressure --- *)
 
@@ -81,6 +85,61 @@ let test_profile_render () =
   Alcotest.(check bool) "renders rows" true
     (List.length (String.split_on_char '\n' s) >= 5)
 
+(* The compiled engine's profile and perfect-cache modes against the
+   interpreter's, which stay as their reference: the same profile entries
+   (visits and cycles per block, callee blocks included) and the same
+   run, field for field, on every workload under a plain, a detecting
+   and a rollback-hardened schedule. *)
+let test_compiled_modes_match_interpreter () =
+  List.iter
+    (fun name ->
+      let program = (Option.get (Registry.find name)).W.build W.Fault in
+      List.iter
+        (fun scheme ->
+          let c = Pipeline.compile ~scheme ~issue_width:2 ~delay:2 program in
+          let d = Decode.of_schedule c.Pipeline.schedule in
+          let p = Compile.of_decoded d in
+          let cell = Printf.sprintf "%s/%s" name (Scheme.name scheme) in
+          let reference = Profile.create () and got = Profile.create () in
+          let r = Simulator.run_decoded ~profile:reference d in
+          let g = Compile.run ~profile:got p in
+          Alcotest.(check bool) (cell ^ ": profiled run") true (r = g);
+          Alcotest.(check bool) (cell ^ ": profile nonempty") true
+            (Profile.entries reference <> []);
+          Alcotest.(check bool) (cell ^ ": profile entries") true
+            (Profile.entries reference = Profile.entries got);
+          let r = Simulator.run_decoded ~perfect_cache:true d in
+          let g = Compile.run ~perfect_cache:true p in
+          Alcotest.(check bool) (cell ^ ": perfect-cache run") true (r = g);
+          Alcotest.(check int) (cell ^ ": perfect cache never misses") 0
+            g.Outcome.cache.Casted_cache.Hierarchy.l1_misses)
+        [ Scheme.Noed; Scheme.Casted; Scheme.Rollback ])
+    (Registry.names ())
+
+(* Every sweep point (run on the compiled engine through the engine
+   cache) equals the interpreter's run of the same decoded program. *)
+let test_sweep_matches_interpreter () =
+  Engine.with_engine ~jobs:2 (fun e ->
+      let points =
+        Engine.sweep e ~size:W.Fault ~benchmarks:[ "cjpeg"; "181.mcf" ]
+          ~issues:[ 1; 2 ] ~delays:[ 1; 3 ] ()
+      in
+      Alcotest.(check int) "grid size" 24 (List.length points);
+      List.iter
+        (fun (pt : Engine.sweep_point) ->
+          let key =
+            Cache.key ~workload:pt.Engine.benchmark ~size:W.Fault
+              ~scheme:pt.Engine.scheme ~issue_width:pt.Engine.issue
+              ~delay:(max 1 pt.Engine.delay) ()
+          in
+          let reference =
+            Simulator.run_decoded (Cache.decoded (Engine.cache e) key)
+          in
+          Alcotest.(check bool)
+            (Format.asprintf "%a: sweep point = run_decoded" Cache.pp_key key)
+            true (reference = pt.Engine.run))
+        points)
+
 (* --- placement / utilisation --- *)
 
 let test_dced_pins_detection_remotely () =
@@ -128,6 +187,9 @@ let suite =
       case "pressure spill predicate" test_pressure_exceeds;
       case "profile counts loop visits" test_profile_counts_visits;
       case "profile rendering" test_profile_render;
+      case "compiled profile/perfect cache = interpreter"
+        test_compiled_modes_match_interpreter;
+      case "sweep points = run_decoded" test_sweep_matches_interpreter;
       case "DCED pins detection code remotely" test_dced_pins_detection_remotely;
       case "CASTED balances both streams" test_casted_balances;
       case "single-cluster utilisation" test_single_cluster_utilization;

@@ -13,6 +13,9 @@ module Decode = Casted_sim.Decode
 module Replay = Casted_sim.Replay
 module State = Casted_sim.State
 module Pool = Casted_exec.Pool
+module Compile = Casted_sim.Compile
+module W = Casted_workloads.Workload
+module Registry = Casted_workloads.Registry
 
 (* Same shape as the campaign tests' kernel: loads, stores and
    conditional branches so every fault model has a non-empty population
@@ -55,6 +58,48 @@ let test_capture_golden_identical () =
   let r = Replay.capture ~init_stride:4 ~target:8 d in
   Alcotest.(check bool) "snapshots captured" true (Replay.count r > 0);
   Alcotest.(check bool) "golden identical" true (Replay.golden r = plain)
+
+(* Capture runs on the compiled engine: its snapshots must resume to the
+   interpreter's full run on BOTH engines, from every snapshot, field
+   for field (memory image included) — on the kernel and on a detecting
+   and a rollback-hardened workload schedule. A stage-2 program of a
+   different decoded program is refused. *)
+let test_capture_compiled_replays_on_both_engines () =
+  let cjpeg = (Option.get (Registry.find "cjpeg")).W.build W.Fault in
+  let cjpeg scheme =
+    Decode.of_schedule
+      (Pipeline.compile ~scheme ~issue_width:2 ~delay:2 cjpeg).Pipeline.schedule
+  in
+  List.iter
+    (fun (name, d) ->
+      let p = Compile.of_decoded d in
+      let full = Simulator.run_decoded ~with_mem_digest:true d in
+      let r =
+        Replay.capture ~init_stride:16 ~target:8 ~with_mem_digest:true
+          ~compiled:p d
+      in
+      Alcotest.(check bool) (name ^ ": golden = run_decoded") true
+        (Replay.golden r = full);
+      Alcotest.(check bool) (name ^ ": snapshots captured") true
+        (Replay.count r > 2);
+      Array.iteri
+        (fun i snapshot ->
+          let at what = Printf.sprintf "%s: snapshot %d: %s" name i what in
+          Alcotest.(check bool) (at "interpreter replay") true
+            (Simulator.run_replayed ~with_mem_digest:true ~snapshot d = full);
+          Alcotest.(check bool) (at "compiled replay") true
+            (Simulator.run_compiled_replayed ~with_mem_digest:true ~snapshot p
+            = full))
+        (Replay.snapshots r))
+    [
+      ("kernel", decoded ());
+      ("cjpeg/CASTED", cjpeg Scheme.Casted);
+      ("cjpeg/ROLLBACK", cjpeg Scheme.Rollback);
+    ];
+  let d = decoded () in
+  match Replay.capture ~compiled:(Compile.of_decoded (decoded ())) d with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "capture accepted another program's stage-2 form"
 
 (* The core property: for every fault model and several snapshot
    strides, a trial replayed from the snapshot [Replay.find] picks is
@@ -211,6 +256,8 @@ let suite =
     [
       Alcotest.test_case "capture golden = plain run" `Quick
         test_capture_golden_identical;
+      Alcotest.test_case "compiled capture replays on both engines" `Quick
+        test_capture_compiled_replays_on_both_engines;
       Alcotest.test_case "all models/strides: replayed = full" `Slow
         test_trials_bit_identical;
       Alcotest.test_case "campaigns: replay/pool invariant" `Slow
