@@ -113,6 +113,43 @@ let bench_out =
 let banner name =
   Printf.printf "\n================ %s ================\n%!" name
 
+(* Timed seconds behind every rate a ratio gate compares. On a shared
+   2-core box the cjpeg compiled-over-replay ratio read 1.50-1.92 over
+   16 runs with quarter-second windows, 1.55-2.03 over 12 with
+   half-second and 1.39-1.96 over 37 with one-second windows: longer
+   windows do not narrow it, as part of the spread is per process. *)
+let rate_window_s = 0.5
+
+(* [(units/s, seconds)] for each of [runs] (each call returns the units
+   of work it did), after one untimed warm-up call of each. The runs
+   take turns, one call at a time, among those with less than
+   [rate_window_s] timed so far: the ratio gates compare rates measured
+   side by side, so a slow drift of a shared box hits both alike, and
+   each rate covers a window long enough to be stable. *)
+let interleaved_rates runs =
+  let runs = Array.of_list runs in
+  Array.iter (fun run -> ignore (run () : int)) runs;
+  let units = Array.make (Array.length runs) 0 in
+  let secs = Array.make (Array.length runs) 0.0 in
+  while Array.exists (fun dt -> dt < rate_window_s) secs do
+    Array.iteri
+      (fun i run ->
+        if secs.(i) < rate_window_s then begin
+          let t0 = Unix.gettimeofday () in
+          units.(i) <- units.(i) + run ();
+          secs.(i) <- secs.(i) +. (Unix.gettimeofday () -. t0)
+        end)
+      runs
+  done;
+  Array.to_list
+    (Array.mapi (fun i u -> (float_of_int u /. secs.(i), secs.(i))) units)
+
+(* Ratio of two interleaved rates: [a]'s over [b]'s. *)
+let rate_ratio a b =
+  match interleaved_rates [ a; b ] with
+  | [ (ra, _); (rb, _) ] -> ra /. rb
+  | _ -> assert false
+
 (* One fault-free run of a schedule on the compiled engine, decode and
    stage-2 compile included. *)
 let golden_run ?perfect_cache sched =
@@ -331,29 +368,25 @@ let section_recovery_overhead () =
         ] )
   in
   let rows = List.map one [ Scheme.Casted; Scheme.Tmr; Scheme.Rollback ] in
-  (* Rollback trials/s on the default path (compiled engine, lazy region
-     checkpoints, prefix replay) over the interpreter's eager-snapshot
-     reference with neither: two rates of the same cell on the same box,
-     so a machine-independent ratio. Both run warm (the campaign above
-     filled the engine cache) and each is timed over repeated campaigns
-     for at least a quarter second. *)
-  let rollback_rate ?compile ?replay () =
-    let run () =
-      (Engine.campaign engine ?compile ?replay ~seed ~trials:n
-         (key Scheme.Rollback))
-        .Montecarlo.trials
-    in
-    ignore (run () : int);
-    let t0 = Unix.gettimeofday () in
-    let rec go done_ =
-      let done_ = done_ + run () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt >= 0.25 then float_of_int done_ /. dt else go done_
-    in
-    go 0
-  in
+  (* Rollback trials/s on the default path ([Engine.campaign]: compiled
+     engine, lazy region checkpoints, prefix replay) over the
+     interpreter's eager-snapshot reference with neither
+     ([Montecarlo.run_decoded ~compile:false ~replay:false] on the
+     cell's decoded program): two rates of the same cell on the same
+     box, so a machine-independent ratio. Both run warm (the campaign
+     above filled the engine cache), interleaved over repeated campaigns
+     for [rate_window_s] each. *)
+  let trials_of (r : Montecarlo.result) = r.Montecarlo.trials in
+  let rollback = key Scheme.Rollback in
   let speedup =
-    rollback_rate () /. rollback_rate ~compile:false ~replay:false ()
+    rate_ratio
+      (fun () -> trials_of (Engine.campaign engine ~seed ~trials:n rollback))
+      (fun () ->
+        trials_of
+          (Montecarlo.run_decoded ~pool:(Engine.pool engine) ~seed
+             ~compile:false ~replay:false
+             ~retry_budget:Engine.default_retry_budget ~trials:n
+             (Casted_engine.Cache.decoded (Engine.cache engine) rollback)))
   in
   Printf.printf "ROLLBACK speedup vs the reference (compiled + replay): %.1fx\n"
     speedup;
@@ -554,39 +587,67 @@ let section_sim_throughput () =
   done;
   let compile_s = (Unix.gettimeofday () -. t0) /. float_of_int decode_reps in
   let stage2 = Casted_sim.Compile.of_decoded decoded in
+  (* One [tput_trials]-trial campaign on one trial path. *)
+  let campaign pool ~replay ?compiled () =
+    let replay_set = if replay then Some replay_set else None in
+    let r =
+      Montecarlo.run_decoded ~pool ~seed ~trials:tput_trials ~replay
+        ?replay_set ~compile:false ?compiled decoded
+    in
+    assert (r.Montecarlo.trials = tput_trials);
+    r
+  in
+  let report ~label n_jobs (r : Montecarlo.result) (tps, wall) =
+    let ips = tps *. float_of_int golden_dyn in
+    let mean_suffix =
+      match r.Montecarlo.replay with
+      | Some s -> s.Montecarlo.mean_suffix
+      | None -> 1.0
+    in
+    Printf.printf
+      "%-8s jobs=%d: %.0f trials in %.2fs -> %.0f trials/s, %.2fM dyn \
+       insns/s, mean suffix %.1f%%\n\
+       %!"
+      label n_jobs (tps *. wall) wall tps (ips /. 1e6) (100.0 *. mean_suffix);
+    ( tps,
+      Obs.Json.Obj
+        [
+          ("jobs", Obs.Json.Int n_jobs);
+          ("wall_s", f wall);
+          ("trials_per_s", f tps);
+          ("insns_per_s", f ips);
+          ("mean_suffix_fraction", f mean_suffix);
+        ] )
+  in
+  (* A rate from one campaign, for the jobsN rates: they gate no ratio. *)
   let measure ~label ~replay ?compiled n_jobs =
     Pool.with_pool ~jobs:n_jobs (fun pool ->
-        let replay_set = if replay then Some replay_set else None in
         Gc.full_major ();
         let t0 = Unix.gettimeofday () in
-        let r =
-          Montecarlo.run_decoded ~pool ~seed ~trials:tput_trials ~replay
-            ?replay_set ~compile:false ?compiled decoded
-        in
+        let r = campaign pool ~replay ?compiled () in
         let wall = Unix.gettimeofday () -. t0 in
-        assert (r.Montecarlo.trials = tput_trials);
-        let tps = float_of_int tput_trials /. wall in
-        let ips = float_of_int tput_trials *. float_of_int golden_dyn /. wall in
-        let mean_suffix =
-          match r.Montecarlo.replay with
-          | Some s -> s.Montecarlo.mean_suffix
-          | None -> 1.0
+        report ~label n_jobs r (float_of_int tput_trials /. wall, wall))
+  in
+  (* Rates at jobs 1, where the gated ratios read them: a campaign lasts
+     only tens of milliseconds, too short for a stable ratio, so each
+     path repeats its campaign for [rate_window_s], the [paths] of one
+     call taking turns. *)
+  let windowed paths =
+    Pool.with_pool ~jobs:1 (fun pool ->
+        let last = Array.make (List.length paths) None in
+        Gc.full_major ();
+        let rates =
+          interleaved_rates
+            (List.mapi
+               (fun i (_, replay, compiled) () ->
+                 last.(i) <- Some (campaign pool ~replay ?compiled ());
+                 tput_trials)
+               paths)
         in
-        Printf.printf
-          "%-8s jobs=%d: %d trials in %.2fs -> %.0f trials/s, %.2fM dyn \
-           insns/s, mean suffix %.1f%%\n\
-           %!"
-          label n_jobs tput_trials wall tps (ips /. 1e6)
-          (100.0 *. mean_suffix);
-        ( tps,
-          Obs.Json.Obj
-            [
-              ("jobs", Obs.Json.Int n_jobs);
-              ("wall_s", f wall);
-              ("trials_per_s", f tps);
-              ("insns_per_s", f ips);
-              ("mean_suffix_fraction", f mean_suffix);
-            ] ))
+        List.mapi
+          (fun i ((label, _, _), rate) ->
+            report ~label 1 (Option.get last.(i)) rate)
+          (List.combine paths rates))
   in
   Printf.printf "decode: %.3f ms per schedule (a campaign decodes once)\n%!"
     (1000.0 *. decode_s);
@@ -598,34 +659,39 @@ let section_sim_throughput () =
   Printf.printf
     "stage-2 compile: %.3f ms per program (a campaign compiles once)\n%!"
     (1000.0 *. compile_s);
-  let tps_full1, j1 = measure ~label:"full" ~replay:false 1 in
-  let _, jn = measure ~label:"full" ~replay:false jobs in
-  let tps_replay1, r1 = measure ~label:"replayed" ~replay:true 1 in
-  let _, rn = measure ~label:"replayed" ~replay:true jobs in
-  let tps_compiled1, c1 =
-    measure ~label:"compiled" ~replay:true ~compiled:stage2 1
+  (* Full trials take their own window: taking turns with the replayed
+     ones, which allocate far less per trial, read a lower
+     [replay_speedup_jobs1]. *)
+  let tps_full1, j1 =
+    match windowed [ ("full", false, None) ] with
+    | [ r ] -> r
+    | _ -> assert false
   in
+  let _, jn = measure ~label:"full" ~replay:false jobs in
+  let (tps_replay1, r1), (tps_compiled1, c1) =
+    match
+      windowed [ ("replayed", true, None); ("compiled", true, Some stage2) ]
+    with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let _, rn = measure ~label:"replayed" ~replay:true jobs in
   let _, cn = measure ~label:"compiled" ~replay:true ~compiled:stage2 jobs in
   (* Golden runs per second on the compiled engine over the decoded
      interpreter (the reference): the speedup every sweep point, single
      run and replay capture gets. Both run warm (decoded and compiled
-     above, one untimed run first) over windows of at least a quarter
-     second, after the trial rates so their heap churn cannot tax them;
+     above, one untimed run first), interleaved over [rate_window_s]
+     each, after the trial rates so their heap churn cannot tax them;
      two rates of the same program on the same box, so a
      machine-independent ratio. *)
-  let golden_rate run =
+  let runs_of run () =
     ignore (run () : Outcome.run);
-    let t0 = Unix.gettimeofday () in
-    let rec go n =
-      ignore (run () : Outcome.run);
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt >= 0.25 then float_of_int n /. dt else go (n + 1)
-    in
-    go 1
+    1
   in
   let golden_speedup =
-    golden_rate (fun () -> Simulator.run_compiled stage2)
-    /. golden_rate (fun () -> Simulator.run_decoded decoded)
+    rate_ratio
+      (runs_of (fun () -> Simulator.run_compiled stage2))
+      (runs_of (fun () -> Simulator.run_decoded decoded))
   in
   let speedup = tps_replay1 /. tps_full1 in
   let compiled_speedup = tps_compiled1 /. tps_replay1 in
@@ -709,9 +775,20 @@ let section_store () =
     Montecarlo.counts warm.Engine.result = Montecarlo.counts cold.Engine.result);
   let stats = Store.stats store in
   let speedup = if warm_s > 0.0 then cold_s /. warm_s else 0.0 in
+  (* The cold run banks after every finished chunk, so [bytes_written]
+     counts the entry once per chunk; the cell's size is its one file. *)
+  let entries = Filename.concat (Store.dir store) "entries" in
+  let entry_bytes =
+    Array.fold_left
+      (fun acc name ->
+        if Filename.check_suffix name ".entry" then
+          acc + (Unix.stat (Filename.concat entries name)).Unix.st_size
+        else acc)
+      0 (Sys.readdir entries)
+  in
   Printf.printf
     "warm serve: %.0fx faster; %d bytes banked per cell (%d read back)\n%!"
-    speedup stats.Store.bytes_written stats.Store.bytes_read;
+    speedup entry_bytes stats.Store.bytes_read;
   store_json :=
     Obs.Json.Obj
       [
@@ -721,7 +798,7 @@ let section_store () =
         ("cold_s", f cold_s);
         ("warm_s", f warm_s);
         ("warm_speedup", f speedup);
-        ("entry_bytes", Obs.Json.Int stats.Store.bytes_written);
+        ("entry_bytes", Obs.Json.Int entry_bytes);
         ("warm_simulated", Obs.Json.Int warm.Engine.simulated);
         ("warm_served", Obs.Json.Int warm.Engine.served);
       ]

@@ -123,35 +123,16 @@ let ci_halfwidth_arg =
     & opt (some float) None
     & info [ "ci-halfwidth" ] ~docv:"PP" ~doc)
 
-let checkpoint_arg =
-  let doc =
-    "Write the partial tally to $(docv) periodically (and at the end), so \
-     a killed campaign can be resumed with $(b,--resume)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-
-let checkpoint_every_arg =
-  let doc = "Checkpoint period, in trials (rounded to chunk boundaries)." in
-  Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume from the $(b,--checkpoint) file. The resumed campaign is \
-     bit-identical to an uninterrupted one; the checkpoint must come from \
-     the same benchmark/scheme/seed/model/trials configuration."
-  in
-  Arg.(value & flag & info [ "resume" ] ~doc)
-
 let store_arg =
   let doc =
     "Persistent result store directory (created if absent). The campaign \
      becomes incremental: a cell whose tally is already banked at this \
      (benchmark, scheme, config, fault model, seed, trials) identity is \
-     served with zero simulation; a partially banked cell resumes at its \
-     banked trial index; the final tally is written back. Incompatible \
-     with $(b,--ci-halfwidth) and $(b,--checkpoint)/$(b,--resume) (the \
-     store subsumes both)."
+     served with zero simulation; the running tally is banked after every \
+     64-trial chunk, so a killed campaign rerun with the same command \
+     resumes after its last banked chunk. With $(b,--ci-halfwidth) the \
+     target is part of the cell's identity, and an early-stopped cell is \
+     served like any other."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
@@ -434,23 +415,6 @@ let no_replay_arg =
   in
   Arg.(value & flag & info [ "no-replay" ] ~doc)
 
-let no_compile_arg =
-  let doc =
-    "Disable stage-2 closure compilation and run every trial on the \
-     decoded interpreter. The compiled path (the default) threads each \
-     program through pre-specialized closures; tallies are bit-identical \
-     either way, compiled is just faster."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
-let allow_legacy_checkpoint_arg =
-  let doc =
-    "Allow $(b,--resume) to load a legacy identity-less checkpoint file. \
-     Such files carry nothing tying them to this campaign, so they are \
-     refused by default."
-  in
-  Arg.(value & flag & info [ "allow-legacy-checkpoint" ] ~doc)
-
 let retry_budget_arg =
   let doc =
     "Rollback retry budget: how many region re-executions a trial may \
@@ -487,28 +451,21 @@ let pp_mwtf ppf m =
   else Format.fprintf ppf "%.2f" m
 
 let campaign_cmd =
-  let run bench scheme issue delay trials model ci_halfwidth checkpoint
-      checkpoint_every resume no_replay no_compile allow_legacy_checkpoint
+  let run bench scheme issue delay trials model ci_halfwidth no_replay
       retry_budget min_recovered store_dir shard jobs trace metrics =
-    if resume && checkpoint = None then begin
-      Printf.eprintf "casted: --resume requires --checkpoint FILE\n";
-      exit 2
-    end;
     if shard <> None && store_dir = None then begin
       Printf.eprintf "casted: --shard requires --store DIR\n";
       exit 2
     end;
-    if store_dir <> None && ci_halfwidth <> None then begin
+    (match ci_halfwidth with
+    | Some w when not (w > 0.0) ->
+        Printf.eprintf "casted: --ci-halfwidth must be positive (got %g)\n" w;
+        exit 2
+    | _ -> ());
+    if shard <> None && ci_halfwidth <> None then begin
       Printf.eprintf
-        "casted: --store cannot be combined with --ci-halfwidth (early \
-         stopping would make the banked trial count depend on the sampling \
-         path)\n";
-      exit 2
-    end;
-    if store_dir <> None && (checkpoint <> None || resume) then begin
-      Printf.eprintf
-        "casted: --store subsumes --checkpoint/--resume — the store is the \
-         durable partial tally\n";
+        "casted: --shard cannot be combined with --ci-halfwidth (each shard \
+         would stop on its own partial tally)\n";
       exit 2
     end;
     with_obs ~trace ~metrics @@ fun () ->
@@ -525,10 +482,8 @@ let campaign_cmd =
         in
         let store = Option.map open_store store_dir in
         let sc =
-          Engine.campaign_stored engine ~model ?ci_halfwidth ?checkpoint
-            ~checkpoint_every ~resume ~replay:(not no_replay)
-            ~compile:(not no_compile) ~allow_legacy_checkpoint ?retry_budget
-            ?store ?shard ~trials spec
+          Engine.campaign_stored engine ~model ?ci_halfwidth
+            ~replay:(not no_replay) ?retry_budget ?store ?shard ~trials spec
         in
         let result = sc.Engine.result in
         Format.printf "%s / %s issue %d delay %d (%d jobs)@." bench
@@ -590,16 +545,16 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
-         "Run one Monte-Carlo fault campaign (checkpointable, resumable, \
-          incremental against a persistent result store, shardable across \
-          processes, with Wilson confidence intervals, optional early \
-          stopping, and recovered-fraction / MWTF reporting)")
+         "Run one Monte-Carlo fault campaign (incremental and kill-tolerant \
+          against a persistent result store — rerun a killed campaign to \
+          resume it — shardable across processes, with Wilson confidence \
+          intervals, optional early stopping, and recovered-fraction / MWTF \
+          reporting)")
     Term.(
       const run $ bench_arg $ scheme_arg $ issue_arg $ delay_arg $ trials_arg
-      $ model_arg $ ci_halfwidth_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg $ no_replay_arg $ no_compile_arg
-      $ allow_legacy_checkpoint_arg $ retry_budget_arg $ min_recovered_arg
-      $ store_arg $ shard_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      $ model_arg $ ci_halfwidth_arg $ no_replay_arg $ retry_budget_arg
+      $ min_recovered_arg $ store_arg $ shard_arg $ jobs_arg $ trace_arg
+      $ metrics_arg)
 
 let recover_cmd =
   let run bench issue delay trials model retry_budget jobs trace metrics =
@@ -1056,39 +1011,31 @@ let store_audit_cmd =
                       (Store.address e.Store.key)
                 | Some (Some (key, model)) ->
                     incr audited;
-                    let k = e.Store.key in
-                    let retry_budget =
-                      if k.Store.retry_budget < 0 then None
-                      else Some k.Store.retry_budget
-                    in
-                    let shard = k.Store.shard in
-                    let trials =
-                      if snd shard = 1 then e.Store.trials_done
-                      else k.Store.trials
-                    in
-                    let r =
-                      Engine.campaign engine ~seed:k.Store.seed
-                        ~fuel_factor:k.Store.fuel_factor ~model ?retry_budget
-                        ~shard ~trials key
-                    in
-                    if
-                      Montecarlo.counts r <> e.Store.counts
-                      || r.Montecarlo.golden_cycles <> e.Store.golden_cycles
-                      || r.Montecarlo.golden_dyn <> e.Store.golden_dyn
-                      || r.Montecarlo.population <> e.Store.population
-                    then begin
-                      incr bad;
-                      Format.eprintf
-                        "casted: AUDIT MISMATCH %s@.  banked:      %a \
-                         (golden %d cycles, %d insns, population %d)@.  \
-                         resimulated: %a (golden %d cycles, %d insns, \
-                         population %d)@."
-                        (Store.address e.Store.key)
-                        pp_counts e.Store.counts e.Store.golden_cycles
-                        e.Store.golden_dyn e.Store.population pp_counts
-                        (Montecarlo.counts r) r.Montecarlo.golden_cycles
-                        r.Montecarlo.golden_dyn r.Montecarlo.population
-                    end)
+                    match Engine.resimulate engine ~model key e with
+                    | exception Invalid_argument msg ->
+                        (* A shard tally off its chunk grid. *)
+                        incr bad;
+                        Printf.eprintf "casted: AUDIT MISMATCH %s: %s\n"
+                          (Store.address e.Store.key) msg
+                    | r ->
+                        if
+                          Montecarlo.counts r <> e.Store.counts
+                          || r.Montecarlo.golden_cycles <> e.Store.golden_cycles
+                          || r.Montecarlo.golden_dyn <> e.Store.golden_dyn
+                          || r.Montecarlo.population <> e.Store.population
+                        then begin
+                          incr bad;
+                          Format.eprintf
+                            "casted: AUDIT MISMATCH %s@.  banked:      %a \
+                             (golden %d cycles, %d insns, population %d)@.  \
+                             resimulated: %a (golden %d cycles, %d insns, \
+                             population %d)@."
+                            (Store.address e.Store.key)
+                            pp_counts e.Store.counts e.Store.golden_cycles
+                            e.Store.golden_dyn e.Store.population pp_counts
+                            (Montecarlo.counts r) r.Montecarlo.golden_cycles
+                            r.Montecarlo.golden_dyn r.Montecarlo.population
+                        end)
               picked);
         Format.printf
           "audit: %d entries re-simulated, %d skipped, %d mismatched%s@."

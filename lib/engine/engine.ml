@@ -126,8 +126,6 @@ type job =
       fuel_factor : int;
       model : Casted_sim.Fault.model;
       ci_halfwidth : float option;
-      checkpoint : string option;
-      resume : bool;
     }
   | Sweep of {
       size : Workload.size;
@@ -300,12 +298,9 @@ let shard_resume_index ~shard ~trials banked =
   go 0 (owned_chunks ~shard ~trials)
 
 let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
-    ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?checkpoint
-    ?checkpoint_every ?(resume = false) ?(replay = true)
-    ?compile:(use_compiled = true) ?retry_budget
-    ?(allow_legacy_checkpoint = false) ?store ?(shard = (0, 1)) ~trials key =
+    ?(model = Casted_sim.Fault.Reg_bit) ?ci_halfwidth ?(replay = true)
+    ?retry_budget ?store ?(shard = (0, 1)) ~trials key =
   let retry_budget = resolve_retry_budget key retry_budget in
-  let identity = campaign_identity key model in
   (* Compile (cached) under the compile timer, then hand the memoized
      decoded program — and, with replay on, the memoized golden-run
      snapshot set, plus the memoized stage-2 compiled program — to the
@@ -317,21 +312,14 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   let simulate ?prior ?bank ~shard n_trials =
     let (_ : Pipeline.compiled) = compile t key in
     let decoded = Cache.decoded t.cache key in
-    (* The interpreter's reference rollback ([~compile:false]) runs
-       full length: no snapshot set to capture for it. *)
-    let replay = replay && (use_compiled || retry_budget = None) in
     let replay_set =
       if replay then Some (Cache.replay t.cache key) else None
     in
-    let compiled =
-      if use_compiled then Some (Cache.compiled t.cache key) else None
-    in
+    let compiled = Cache.compiled t.cache key in
     timed t `Campaign (fun () ->
         Montecarlo.run_decoded ~pool:t.pool ~seed ~fuel_factor ~model
-          ?ci_halfwidth ?checkpoint ?checkpoint_every ~resume ~identity
-          ~replay ?replay_set ~compile:use_compiled ?compiled ?retry_budget
-          ~allow_legacy_checkpoint ~shard ?prior ?bank ~trials:n_trials
-          decoded)
+          ?ci_halfwidth ~replay ?replay_set ~compiled ?retry_budget ~shard
+          ?prior ?bank ~trials:n_trials decoded)
   in
   match store with
   | None ->
@@ -343,19 +331,11 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
         complete = shard = (0, 1);
       }
   | Some s ->
-      if ci_halfwidth <> None then
-        invalid_arg
-          "Engine.campaign: a store-backed campaign cannot use \
-           ci_halfwidth (early stopping would make the banked trial count \
-           depend on the sampling path)";
-      if checkpoint <> None || resume then
-        invalid_arg
-          "Engine.campaign: a store-backed campaign is its own checkpoint \
-           — drop --checkpoint/--resume";
       let retry_for_store = Option.value retry_budget ~default:(-1) in
       let skey =
-        Store.key ~retry_budget:retry_for_store ~shard ~identity ~seed
-          ~fuel_factor ~trials ()
+        Store.key ~retry_budget:retry_for_store ~shard ?ci_halfwidth
+          ~identity:(campaign_identity key model) ~seed ~fuel_factor ~trials
+          ()
       in
       let spec = spec_of_key key model in
       let serve ?(simulated = 0) (e : Store.entry) ~complete =
@@ -365,6 +345,13 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
           served = e.Store.trials_done - simulated;
           complete;
         }
+      in
+      (* Bank the running tally at every finished chunk, so a killed
+         campaign's completed chunks survive and a rerun resumes after
+         the last one. *)
+      let bank ~next:_ r =
+        Store.put s (entry_of_result ~spec skey r);
+        bump_store t (fun c -> { c with store_writes = c.store_writes + 1 })
       in
       let write_merged () =
         (* All shards banked: publish the summed tally as the cell's
@@ -379,40 +366,55 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
                 { c with store_writes = c.store_writes + 1 });
             Some merged
       in
+      let full_hit (e : Store.entry) =
+        bump_store t (fun c ->
+            {
+              c with
+              full_hits = c.full_hits + 1;
+              trials_served = c.trials_served + e.Store.trials_done;
+            });
+        Casted_obs.Metrics.incr "engine.store.full_hits";
+        serve e ~complete:true
+      in
       if snd shard = 1 then begin
+        (* A banked prefix is the whole answer when it reaches [trials]
+           or when the early stop fires on it: the uninterrupted
+           campaign would have stopped right there. *)
+        let finished (e : Store.entry) =
+          e.Store.trials_done = trials
+          || e.Store.trials_done < trials
+             &&
+             match ci_halfwidth with
+             | Some ci_halfwidth ->
+                 Montecarlo.early_stopped ~ci_halfwidth
+                   (result_of_entry ~model e)
+             | None -> false
+        in
         match store_get (Store.find s skey) with
-        | Some e when e.Store.trials_done = trials ->
-            bump_store t (fun c ->
-                {
-                  c with
-                  full_hits = c.full_hits + 1;
-                  trials_served = c.trials_served + trials;
-                });
-            Casted_obs.Metrics.incr "engine.store.full_hits";
-            serve e ~complete:true
+        | Some e when finished e -> full_hit e
         | Some e when e.Store.trials_done < trials ->
-            (* Incremental fill: resume from the banked tally exactly as
-               a checkpoint resume would, then extend the entry. *)
+            (* Incremental fill: resume from the banked tally, banking
+               every further chunk, then extend the entry. *)
             let result =
               simulate ~shard
                 ~prior:(e.Store.trials_done, e.Store.counts)
-                trials
+                ~bank trials
             in
             check_golden_agreement ~what:"incremental resume" e result;
             Store.put s (entry_of_result ~spec skey result);
+            let simulated = result.Montecarlo.trials - e.Store.trials_done in
             bump_store t (fun c ->
                 {
                   c with
                   partial_hits = c.partial_hits + 1;
                   store_writes = c.store_writes + 1;
                   trials_served = c.trials_served + e.Store.trials_done;
-                  trials_simulated =
-                    c.trials_simulated + (trials - e.Store.trials_done);
+                  trials_simulated = c.trials_simulated + simulated;
                 });
             Casted_obs.Metrics.incr "engine.store.partial_hits";
             {
               result;
-              simulated = trials - e.Store.trials_done;
+              simulated;
               served = e.Store.trials_done;
               complete = true;
             }
@@ -420,41 +422,45 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
             (* The banked tally covers MORE trials than requested; the
                first [trials] of it cannot be recovered from counts.
                Simulate the request fresh and leave the richer entry
-               alone. *)
+               alone (no banking: it would overwrite it). *)
             let result = simulate ~shard trials in
             check_golden_agreement ~what:"oversized entry" e result;
             bump_store t (fun c ->
                 {
                   c with
                   store_misses = c.store_misses + 1;
-                  trials_simulated = c.trials_simulated + trials;
+                  trials_simulated =
+                    c.trials_simulated + result.Montecarlo.trials;
                 });
             Casted_obs.Metrics.incr "engine.store.misses";
-            { result; simulated = trials; served = 0; complete = true }
+            {
+              result;
+              simulated = result.Montecarlo.trials;
+              served = 0;
+              complete = true;
+            }
         | None -> (
             (* Absent cell — but its shards may already cover it. *)
             match write_merged () with
-            | Some merged ->
-                bump_store t (fun c ->
-                    {
-                      c with
-                      full_hits = c.full_hits + 1;
-                      trials_served = c.trials_served + trials;
-                    });
-                Casted_obs.Metrics.incr "engine.store.full_hits";
-                serve merged ~complete:true
+            | Some merged -> full_hit merged
             | None ->
-                let result = simulate ~shard trials in
+                let result = simulate ~shard ~bank trials in
                 Store.put s (entry_of_result ~spec skey result);
                 bump_store t (fun c ->
                     {
                       c with
                       store_misses = c.store_misses + 1;
                       store_writes = c.store_writes + 1;
-                      trials_simulated = c.trials_simulated + trials;
+                      trials_simulated =
+                        c.trials_simulated + result.Montecarlo.trials;
                     });
                 Casted_obs.Metrics.incr "engine.store.misses";
-                { result; simulated = trials; served = 0; complete = true })
+                {
+                  result;
+                  simulated = result.Montecarlo.trials;
+                  served = 0;
+                  complete = true;
+                })
       end
       else begin
         (* Shard worker: serve the cell if it is already complete,
@@ -462,22 +468,9 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
            every owned 64-trial chunk so a killed worker's finished
            chunks survive — and merge if that was the last one. *)
         let share = shard_share ~shard ~trials in
-        let bank ~next:_ r =
-          Store.put s (entry_of_result ~spec skey r);
-          bump_store t (fun c ->
-              { c with store_writes = c.store_writes + 1 })
-        in
         let full_key = { skey with Store.shard = (0, 1) } in
         match store_get (Store.find s full_key) with
-        | Some e when e.Store.trials_done = trials ->
-            bump_store t (fun c ->
-                {
-                  c with
-                  full_hits = c.full_hits + 1;
-                  trials_served = c.trials_served + trials;
-                });
-            Casted_obs.Metrics.incr "engine.store.full_hits";
-            serve e ~complete:true
+        | Some e when e.Store.trials_done = trials -> full_hit e
         | _ -> (
             match store_get (Store.find s skey) with
             | Some own when own.Store.trials_done = share -> (
@@ -562,13 +555,30 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
                     }))
       end
 
-let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?checkpoint
-    ?checkpoint_every ?resume ?replay ?compile ?retry_budget
-    ?allow_legacy_checkpoint ?store ?shard ~trials key =
-  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?checkpoint
-     ?checkpoint_every ?resume ?replay ?compile ?retry_budget
-     ?allow_legacy_checkpoint ?store ?shard ~trials key)
+let campaign t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?retry_budget
+    ?store ?shard ~trials key =
+  (campaign_stored t ?seed ?fuel_factor ?model ?ci_halfwidth ?replay
+     ?retry_budget ?store ?shard ~trials key)
     .result
+
+(* What [casted store audit] compares against: the campaign [e]'s key
+   describes, cut to what it banked — a full entry's prefix, or a shard
+   entry's owned chunks up to its last banked one (a killed worker's
+   partial entry holds fewer than its share). An early-stopped entry is
+   re-run with its target, so one banked past its stopping point
+   mismatches. *)
+let resimulate t ~model key (e : Store.entry) =
+  let k = e.Store.key in
+  let shard = k.Store.shard in
+  let trials =
+    if snd shard = 1 then e.Store.trials_done
+    else shard_resume_index ~shard ~trials:k.Store.trials e.Store.trials_done
+  in
+  let retry_budget =
+    if k.Store.retry_budget < 0 then None else Some k.Store.retry_budget
+  in
+  campaign t ~seed:k.Store.seed ~fuel_factor:k.Store.fuel_factor ~model
+    ?ci_halfwidth:k.Store.ci_halfwidth ?retry_budget ~shard ~trials key
 
 (* One grid cell: NOED/SCED are single-core, so they are measured once
    per issue width (compiled at delay 1, recorded as delay 0, like the
@@ -631,11 +641,9 @@ let run_job t = function
   | Simulate key ->
       let compiled, run = simulate t key in
       Simulated (compiled, run)
-  | Campaign { spec; trials; seed; fuel_factor; model; ci_halfwidth;
-               checkpoint; resume } ->
+  | Campaign { spec; trials; seed; fuel_factor; model; ci_halfwidth } ->
       Campaigned
-        (campaign t ~seed ~fuel_factor ~model ?ci_halfwidth ?checkpoint
-           ~resume ~trials spec)
+        (campaign t ~seed ~fuel_factor ~model ?ci_halfwidth ~trials spec)
   | Sweep { size; benchmarks; issues; delays } ->
       Swept (sweep t ~size ~benchmarks ~issues ~delays ())
 

@@ -59,8 +59,6 @@ type job =
       ci_halfwidth : float option;
           (** stop once the detected-rate 95% CI half-width (percentage
               points) is at or below this *)
-      checkpoint : string option;  (** partial-tally checkpoint path *)
-      resume : bool;  (** continue from [checkpoint] *)
     }  (** Monte-Carlo fault campaign; trials fan out over the pool *)
   | Sweep of {
       size : Casted_workloads.Workload.size;
@@ -92,43 +90,33 @@ val simulate :
 (** [campaign t ~trials spec] compiles [spec] (cached) and fans
     [trials] Monte-Carlo trials over the pool. Identical to the
     sequential {!Casted_sim.Montecarlo.run} with the same [seed];
-    the optional knobs ([model], [ci_halfwidth], [checkpoint],
-    [checkpoint_every], [resume], [replay], [allow_legacy_checkpoint])
-    are forwarded to it. With [replay] on (the default) the golden-run
-    snapshot set comes from the engine cache ({!Cache.replay}), so
-    campaigns revisiting a configuration share one capture. With
-    [compile] on (the default) trials run on the stage-2
-    closure-threaded engine ({!Casted_sim.Simulator.run_compiled}) and
-    the compiled program comes from the engine cache
-    ({!Cache.compiled}) — bit-identical tallies, one stage-2 compile
-    per configuration. [~compile:false] is the [--no-compile] escape
-    hatch back to the decoded interpreter.
+    [model], [ci_halfwidth] and [replay] are forwarded to it. Trials run
+    on the stage-2 closure-threaded engine
+    ({!Casted_sim.Simulator.run_compiled}) through the engine cache's
+    compiled program ({!Cache.compiled}); with [replay] on (the default)
+    the golden-run snapshot set comes from the engine cache too
+    ({!Cache.replay}), so campaigns revisiting a configuration share one
+    compile and one capture. The interpreter reference is
+    {!Casted_sim.Montecarlo.run_decoded} [~compile:false] on the cell's
+    {!Cache.decoded} program — bit-identical tallies.
 
     A {!Casted_detect.Scheme.Rollback} spec automatically runs every
     trial as a region-rollback run with [retry_budget] (default
-    {!default_retry_budget}): on the compiled engine with lazy
-    checkpoints and prefix replay
-    ({!Casted_sim.Simulator.run_compiled_recovering}), or with
-    [~compile:false] on the interpreter's eager-snapshot reference
-    ({!Casted_sim.Simulator.run_recovering}, replay off) — the same
-    tallies either way. Pass [retry_budget] explicitly to override the
-    budget (or to run any other scheme recovering).
+    {!default_retry_budget}), with lazy checkpoints and prefix replay
+    ({!Casted_sim.Simulator.run_compiled_recovering}). Pass
+    [retry_budget] explicitly to override the budget (or to run any
+    other scheme recovering).
 
-    With [store] set the campaign becomes incremental: see
-    {!campaign_stored}, of which this is the [.result] projection. *)
+    With [store] set the campaign becomes incremental and kill-tolerant:
+    see {!campaign_stored}, of which this is the [.result] projection. *)
 val campaign :
   t ->
   ?seed:int ->
   ?fuel_factor:int ->
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
   ?replay:bool ->
-  ?compile:bool ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
   trials:int ->
@@ -157,16 +145,27 @@ type stored_campaign = {
 (** [campaign_stored t ~store ~trials spec] is {!campaign} made
     incremental against an on-disk {!Casted_store.Store}:
 
-    - {b full hit} — the store holds the cell at ≥ the identical
-      identity tuple with [trials_done = trials]: the tally is served
-      with {e zero} simulation, zero compiles, zero decodes.
+    - {b full hit} — the store holds the cell at the identical identity
+      tuple with [trials_done = trials], or (with [ci_halfwidth]) with a
+      shorter banked tally on which the early stop fires
+      ({!Casted_sim.Montecarlo.early_stopped}): the tally is served with
+      {e zero} simulation, zero compiles, zero decodes.
     - {b partial hit} — banked [trials_done < trials]: simulation
       resumes at the banked trial index (the per-trial RNG derivation
-      makes the union bit-identical to a cold run of [trials]) and the
-      extended entry replaces the old one.
+      makes the union bit-identical to a cold run of [trials], early
+      stop included) and the extended entry replaces the old one.
     - {b miss} — the cell is simulated and banked. A banked entry with
       {e more} trials than requested is left alone and the request
       simulated fresh (a prefix cannot be recovered from counts).
+
+    Every simulating path banks the running tally after each finished
+    64-trial chunk, so a campaign killed mid-run keeps its completed
+    chunks; rerunning the same request resumes after the last banked
+    one (a partial hit). This is the only way a campaign persists.
+
+    The early-stop target is part of the store key
+    ({!Casted_store.Store.key}), so an early-stopped cell never serves,
+    or resumes from, a cell banked without that target.
 
     With [shard = (k, n)], this process simulates only the campaign
     chunks owned by shard [k] of [n] (absolute 64-trial grid, so the
@@ -175,16 +174,10 @@ type stored_campaign = {
     entries into the full entry. [complete = false] means other shards
     are still outstanding; re-running any shard once they land (or
     {!Casted_store.Store.merge_shards}) produces the merged tally,
-    bit-identical to an unsharded run. A shard worker also banks its
-    partial tally after {e every} finished owned chunk, so a worker
-    killed mid-campaign leaves its completed chunks in the store;
-    re-running that shard resumes after the last banked chunk instead
-    of starting over (counted as a partial hit).
-
-    Store-backed campaigns refuse [ci_halfwidth] (early stopping would
-    make the banked trial count depend on the sampling path) and
-    [checkpoint]/[resume] (the store subsumes both). A resumed cell
-    whose golden run disagrees with the banked entry raises
+    bit-identical to an unsharded run. A killed shard worker resumes
+    the same way as an unsharded campaign. Sharding cannot combine
+    with [ci_halfwidth] ([Invalid_argument]). A resumed cell whose
+    golden run disagrees with the banked entry raises
     [Invalid_argument] — the identity no longer pins the simulation.
 
     Without [store] this is exactly {!campaign} (plus the shard
@@ -195,22 +188,34 @@ val campaign_stored :
   ?fuel_factor:int ->
   ?model:Casted_sim.Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
   ?replay:bool ->
-  ?compile:bool ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?store:Casted_store.Store.t ->
   ?shard:int * int ->
   trials:int ->
   Cache.key ->
   stored_campaign
 
-(** The campaign identity string a store entry (and a checkpoint) is
-    keyed on: [Cache.identity spec ^ "/" ^ fault model name]. Pinned by
-    golden tests alongside {!Cache.identity}. *)
+(** [resimulate t ~model spec e] re-runs the campaign store entry [e]
+    banked for [spec] under [model], without the store: a full entry's
+    [trials_done]-trial prefix, or a shard entry's owned chunks up to the
+    end of its last banked one — so a killed shard worker's partial
+    entry is reproduced, not compared against its whole share; an
+    early-stopped entry is re-run with its target, so it must also
+    have stopped where the target says. What [casted store audit]
+    checks each entry against. Raises
+    [Invalid_argument] on a shard entry that is not a whole number of
+    its chunks. *)
+val resimulate :
+  t ->
+  model:Casted_sim.Fault.model ->
+  Cache.key ->
+  Casted_store.Store.entry ->
+  Casted_sim.Montecarlo.result
+
+(** The campaign identity string a store entry is keyed on:
+    [Cache.identity spec ^ "/" ^ fault model name]. Pinned by golden
+    tests alongside {!Cache.identity}. *)
 val campaign_identity : Cache.key -> Casted_sim.Fault.model -> string
 
 (** [sweep t ~size ()] runs the performance grid of the paper's

@@ -13,8 +13,9 @@
       ({!interval}, printed by {!pp});
     - an optional sequential early stop ends the campaign once the
       detected-rate interval is narrower than a target half-width;
-    - partial tallies can be checkpointed to disk and resumed
-      bit-identically after a kill ({!Checkpoint});
+    - a campaign can resume bit-identically from a persisted partial
+      tally ([?prior]) and bank its running tally at every chunk
+      ([?bank]) — the hooks the result store drives;
     - a trial whose simulation raises is classified and counted
       ({!classify_result}), never allowed to kill the campaign. *)
 
@@ -35,8 +36,8 @@ val class_name : classification -> string
 
 (** How golden-prefix replay fared, over the trials the reporting
     process ran itself (a resumed campaign's earlier trials left no
-    per-trial record in the checkpoint — the tallies still cover them,
-    these statistics do not). *)
+    per-trial record in the result store — the tallies still cover
+    them, these statistics do not). *)
 type replay_stats = {
   snapshots : int;  (** snapshots captured on the golden run *)
   snapshot_bytes : int;  (** approximate heap footprint of the set *)
@@ -189,13 +190,13 @@ val trial_compiled :
 val tally :
   ?model:Fault.model -> golden:golden -> classification array -> result
 
-(** Per-class counts in the persistence order shared by campaign
-    checkpoints and the result store: benign, detected, exception,
+(** Per-class counts in the order the result store persists: benign,
+    detected, exception,
     data-corrupt, timeout, recovered. [Array.fold_left (+) 0 (counts r)
     = r.trials] always. *)
 val counts : result -> int array
 
-(** Rebuild a {!result} from persisted counts (checkpoint order) and
+(** Rebuild a {!result} from persisted counts ({!counts} order) and
     the golden-run scalars — the result store's hit path, which serves
     a finished tally without re-running anything, golden run included.
     [trials] is the sum of [counts]; [replay] is [None]. Raises
@@ -208,11 +209,18 @@ val of_counts :
   int array ->
   result
 
-(** Campaigns advance in chunks of this many trials; early-stop checks
-    and checkpoint writes happen only at chunk boundaries (absolute
-    trial indices), which is why neither the pool size nor a kill point
-    can change a campaign's result. *)
+(** Campaigns advance in chunks of this many trials on an absolute grid
+    anchored at trial 0; early-stop checks and banking happen only at
+    chunk boundaries, which is why neither the pool size nor a kill
+    point can change a campaign's result. *)
 val chunk_trials : int
+
+(** [early_stopped ~ci_halfwidth r] is true when a campaign with this
+    early-stop target, having tallied [r], stops there: [r.trials] is a
+    chunk boundary and the detected-rate 95% Wilson half-width
+    (percentage points) is at or below [ci_halfwidth]. The result store
+    uses it to serve a banked early-stopped cell without simulating. *)
+val early_stopped : ci_halfwidth:float -> result -> bool
 
 (** [run ~seed ~trials schedule] runs the campaign. The fuel of each
     faulty run is [fuel_factor] (default 10) times the golden dynamic
@@ -223,20 +231,8 @@ val chunk_trials : int
       sequential run.
     @param model the fault model to draw every trial from
       (default {!Fault.Reg_bit}, the paper's model).
-    @param ci_halfwidth stop early once the detected-rate 95% Wilson
-      half-width (percentage points) is at or below this target.
-    @param checkpoint write the partial tally to this path every
-      [checkpoint_every] trials (rounded to chunk boundaries) and at
-      the end.
-    @param resume load [checkpoint] (which must exist with matching
-      identity and seed/model/trials/fuel, else [Invalid_argument]) and
-      continue from its recorded index; a missing file starts from
-      trial 0.
-    @param identity opaque campaign identity (the engine renders the
-      (workload, scheme, config, fault-model) tuple here). Stamped into
-      every checkpoint; a resume whose identity differs from the
-      checkpoint's fails loudly instead of silently merging tallies
-      from a different campaign. Default [""].
+    @param ci_halfwidth stop early at the first chunk boundary where
+      {!early_stopped} holds.
     @param replay golden-prefix replay (default true): capture
       snapshots on the golden run and start each trial from the latest
       snapshot preceding its fault's trigger event. Bit-identical
@@ -248,12 +244,10 @@ val chunk_trials : int
       composed with replay), or with [compile] off on the interpreter's
       eager-snapshot reference ({!Simulator.run_recovering}), which
       forces replay off. Both give the same tallies.
-    @param allow_legacy_checkpoint accept resuming from an
-      identity-less legacy checkpoint file (default false: such files
-      are rejected loudly — see {!Checkpoint.load}).
     @param compile run every trial on the stage-2 closure-threaded
       engine ({!Simulator.run_compiled}, default true) — bit-identical
-      tallies to the interpreter, only faster.
+      tallies to the interpreter, only faster. [false] is the
+      interpreter reference the tests and the bench compare against.
     @param shard [(k, n)]: simulate only the chunks whose index on the
       absolute chunk grid is congruent to [k] modulo [n] (default
       [(0, 1)] — everything). The grid is anchored at trial 0 and
@@ -261,29 +255,23 @@ val chunk_trials : int
       [0, trials) exactly and sum to the single-process tally
       bit-for-bit (the result store performs that merge). A sharded
       campaign's [result.trials] counts only its own trials. [n > 1]
-      cannot combine with [ci_halfwidth] or [checkpoint].
+      cannot combine with [ci_halfwidth].
     @param prior [(done, counts)]: resume from a persisted tally —
-      start at trial index [done] with per-class [counts] (checkpoint
-      order) pre-seeded, exactly as a checkpoint resume would. This is
-      the result store's incremental path: a cell with [done] trials
-      banked simulates only [done, trials). With a shard, [counts] must
-      cover exactly the shard's own chunks below [done] (the banked
-      partial entry of a killed worker). Cannot combine with
-      [checkpoint] (two resume sources) or [ci_halfwidth]. *)
+      start at trial index [done] with per-class [counts] ({!counts}
+      order) pre-seeded. This is the result store's incremental path: a
+      cell with [done] trials banked simulates only [done, trials), and
+      with [ci_halfwidth] stops where the uninterrupted campaign would.
+      With a shard, [counts] must cover exactly the shard's own chunks
+      below [done] (the banked partial entry of a killed worker). *)
 val run :
   ?pool:Casted_exec.Pool.t ->
   ?seed:int ->
   ?fuel_factor:int ->
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
-  ?identity:string ->
   ?replay:bool ->
   ?compile:bool ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?shard:int * int ->
   ?prior:int * int array ->
   trials:int ->
@@ -304,7 +292,7 @@ val run :
       over the [compile] flag.
     @param bank called after every finished owned chunk except the last
       with the next trial index and the partial tally so far — the
-      result store's partial-banking hook: a SIGKILLed worker's
+      result store's partial-banking hook: a SIGKILLed campaign's
       completed chunks survive and are served on restart. The final
       tally is returned normally, not banked. *)
 val run_decoded :
@@ -313,16 +301,11 @@ val run_decoded :
   ?fuel_factor:int ->
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
-  ?checkpoint:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
-  ?identity:string ->
   ?replay:bool ->
   ?replay_set:Replay.t ->
   ?compile:bool ->
   ?compiled:Compile.t ->
   ?retry_budget:int ->
-  ?allow_legacy_checkpoint:bool ->
   ?shard:int * int ->
   ?prior:int * int array ->
   ?bank:(next:int -> result -> unit) ->

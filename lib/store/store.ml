@@ -8,31 +8,54 @@ type key = {
   retry_budget : int;
   shard : int * int;
   trials : int;
+  ci_halfwidth : float option;
 }
 
-let key ?(retry_budget = -1) ?(shard = (0, 1)) ~identity ~seed ~fuel_factor
-    ~trials () =
+let key ?(retry_budget = -1) ?(shard = (0, 1)) ?ci_halfwidth ~identity ~seed
+    ~fuel_factor ~trials () =
   let k, n = shard in
   if n < 1 || k < 0 || k >= n then
     invalid_arg (Printf.sprintf "Store.key: shard %d/%d is malformed" k n);
   if trials < 0 then invalid_arg "Store.key: trials must be non-negative";
   if String.contains identity '\n' || String.contains identity '|' then
     invalid_arg "Store.key: identity must not contain newlines or '|'";
-  { identity; seed; fuel_factor; retry_budget; shard; trials }
+  (match ci_halfwidth with
+  | Some w when not (w > 0.0) ->
+      invalid_arg "Store.key: ci_halfwidth must be positive"
+  | Some _ when n > 1 ->
+      invalid_arg "Store.key: an early-stopped cell cannot be sharded"
+  | _ -> ());
+  { identity; seed; fuel_factor; retry_budget; shard; trials; ci_halfwidth }
+
+(* Shortest decimal rendering that reads back to the same float, so an
+   early-stop target has exactly one address spelling. *)
+let render_float f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  go 1
 
 (* The canonical address. A full entry (shard 0/1) is addressed without
    its trial count so it can extend in place as more trials accumulate;
    a shard entry is pinned to its campaign length, since its chunk
-   ownership only means anything for one fixed total. Pinned by golden
-   tests: changing this shape orphans every store on disk. *)
+   ownership only means anything for one fixed total. An early-stop
+   target is appended only when set, so every plain address is
+   unchanged. Pinned by golden tests: changing this shape orphans every
+   store on disk. *)
 let address k =
   let base =
     Printf.sprintf "%s|seed=%d|fuel=%d|retry=%d" k.identity k.seed
       k.fuel_factor k.retry_budget
   in
-  match k.shard with
-  | 0, 1 -> base
-  | s, n -> Printf.sprintf "%s|trials=%d|shard=%d/%d" base k.trials s n
+  let base =
+    match k.shard with
+    | 0, 1 -> base
+    | s, n -> Printf.sprintf "%s|trials=%d|shard=%d/%d" base k.trials s n
+  in
+  match k.ci_halfwidth with
+  | None -> base
+  | Some w -> Printf.sprintf "%s|ci=%s" base (render_float w)
 
 let hash k = Digest.to_hex (Digest.string (address k))
 
@@ -158,7 +181,7 @@ let open_exn ?create dir =
 
 let entry_path t k = Filename.concat (entries_dir t) (hash k ^ ".entry")
 
-(* Key/value lines, checkpoint-style: order-independent parse, loud on
+(* Key/value lines: order-independent parse, loud on
    anything missing or malformed. *)
 let parse_fields lines =
   let table = Hashtbl.create 16 in
@@ -197,6 +220,8 @@ let render_entry e =
   line "retry_budget=%d" e.key.retry_budget;
   line "shard=%d/%d" k n;
   line "trials=%d" e.key.trials;
+  Option.iter (fun w -> line "ci_halfwidth=%s" (render_float w))
+    e.key.ci_halfwidth;
   line "trials_done=%d" e.trials_done;
   line "counts=%s"
     (String.concat "," (Array.to_list (Array.map string_of_int e.counts)));
@@ -224,6 +249,8 @@ let validate_entry e =
     Error
       (Printf.sprintf "trials_done %d outside [0, %d]" e.trials_done
          e.key.trials)
+  else if e.key.ci_halfwidth <> None && snd e.key.shard > 1 then
+    Error "an early-stopped cell cannot be sharded"
   else Ok ()
 
 let parse_entry ~path content =
@@ -245,6 +272,17 @@ let parse_entry ~path content =
         | _ -> Error (Printf.sprintf "%s: malformed shard %S" path shard_s)
       in
       let* trials = int_field ~path table "trials" in
+      let* ci_halfwidth =
+        match Hashtbl.find_opt table "ci_halfwidth" with
+        | None -> Ok None
+        | Some v -> (
+            match float_of_string_opt v with
+            | Some w -> Ok (Some w)
+            | None ->
+                Error
+                  (Printf.sprintf "%s: field ci_halfwidth is not a float (%S)"
+                     path v))
+      in
       let* trials_done = int_field ~path table "trials_done" in
       let* counts_s = field ~path table "counts" in
       let* counts =
@@ -272,7 +310,16 @@ let parse_entry ~path content =
       in
       let e =
         {
-          key = { identity; seed; fuel_factor; retry_budget; shard; trials };
+          key =
+            {
+              identity;
+              seed;
+              fuel_factor;
+              retry_budget;
+              shard;
+              trials;
+              ci_halfwidth;
+            };
           trials_done;
           counts;
           golden_cycles;

@@ -1,14 +1,15 @@
 (** Persistent content-addressed campaign-result store.
 
-    The engine's compiled/decoded/replay caches and campaign
-    checkpoints die with the process, so every sweep over the
-    issue-width × delay × scheme × fault-model × workload matrix used
-    to re-simulate cells whose tallies were already known bit-for-bit.
-    The store keeps finished (and partially finished) campaign tallies
-    on disk, keyed by the same identity discipline campaign checkpoints
-    already use ({!Casted_engine.Cache.identity} plus the fault model,
-    seed, fuel factor and retry budget), so re-running a matrix only
-    simulates the delta.
+    The engine's compiled/decoded/replay caches die with the process,
+    so every sweep over the issue-width × delay × scheme × fault-model
+    × workload matrix used to re-simulate cells whose tallies were
+    already known bit-for-bit. The store keeps finished (and partially
+    finished) campaign tallies on disk, keyed by the campaign identity
+    ({!Casted_engine.Cache.identity} plus the fault model, seed, fuel
+    factor, retry budget and early-stop target), so re-running a matrix
+    only simulates the delta. It is also the only way a campaign
+    survives a kill: every finished 64-trial chunk is banked, and a
+    rerun resumes after the last one.
 
     {b Layout.} A store is a directory:
 
@@ -25,8 +26,7 @@
     bit-identical tally for equal [trials]), and a lookup is one hash
     plus one file read.
 
-    {b Merge semantics.} Tallies merge exactly as campaign checkpoint
-    chunks merge: per-class counts sum, because trial [i]'s outcome
+    {b Merge semantics.} Per-class counts sum, because trial [i]'s outcome
     depends only on [(seed, i, model)] (see
     {!Casted_sim.Montecarlo.trial}). A full entry carries the tally of
     trials [0, trials_done); a shard entry ([shard = (k, n)], [n > 1])
@@ -46,12 +46,15 @@
     (hits, misses, writes, bytes read/written). *)
 
 (** A campaign cell's identity. [identity] is the engine's rendering of
-    (workload, scheme, config, fault model) — the same string campaign
-    checkpoints embed. [retry_budget] is [-1] when the campaign runs no
-    recovery loop. [shard = (k, n)] with [n = 1] is a full (unsharded)
-    entry; [trials] is the requested campaign length for shard entries
-    and is {e not} part of a full entry's address (full entries extend
-    in place as more trials accumulate). *)
+    (workload, scheme, config, fault model). [retry_budget] is [-1] when
+    the campaign runs no recovery loop. [shard = (k, n)] with [n = 1] is
+    a full (unsharded) entry; [trials] is the requested campaign length
+    for shard entries and is {e not} part of a full entry's address
+    (full entries extend in place as more trials accumulate).
+    [ci_halfwidth] is the campaign's early-stop target: an early-stopped
+    cell tallies a deterministic prefix that depends on the target, so
+    the target is part of the address and a cell banked with one never
+    serves a request with another (or with none). *)
 type key = {
   identity : string;
   seed : int;
@@ -59,11 +62,16 @@ type key = {
   retry_budget : int;
   shard : int * int;
   trials : int;
+  ci_halfwidth : float option;
 }
 
+(** Raises [Invalid_argument] on a malformed shard, negative [trials],
+    an identity containing a newline or ['|'], a non-positive target,
+    or a target on a sharded key (early stopping cannot be sharded). *)
 val key :
   ?retry_budget:int ->
   ?shard:int * int ->
+  ?ci_halfwidth:float ->
   identity:string ->
   seed:int ->
   fuel_factor:int ->
@@ -71,8 +79,10 @@ val key :
   unit ->
   key
 
-(** The canonical string hashed into the entry's filename. Pinned by
-    golden tests — changing its shape orphans every store on disk. *)
+(** The canonical string hashed into the entry's filename; an early-stop
+    target appends [|ci=<target>] and leaves every other address as it
+    was. Pinned by golden tests — changing its shape orphans every store
+    on disk. *)
 val address : key -> string
 
 (** MD5 hex of {!address}. *)
@@ -80,7 +90,7 @@ val hash : key -> string
 
 (** One stored tally. [counts] is indexed by
     {!Casted_sim.Montecarlo} class order (benign, detected, exception,
-    data-corrupt, timeout, recovered — the checkpoint order);
+    data-corrupt, timeout, recovered — {!Casted_sim.Montecarlo.counts});
     [trials_done] always equals the sum of [counts]. The [spec_*]
     fields, when present, record the explicit cell coordinates so
     [casted store audit] and workers can rebuild the campaign; an entry

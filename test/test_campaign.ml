@@ -1,10 +1,10 @@
 (* Campaign statistics and crash-proofing: Wilson intervals, sequential
-   early stopping, checkpoint/resume, and trial-level fault tolerance. *)
+   early stopping, kill-and-resume through the result store, and
+   trial-level fault tolerance. *)
 
 open Helpers
 module Fault = Casted_sim.Fault
 module Stats = Casted_sim.Stats
-module Checkpoint = Casted_sim.Checkpoint
 module Montecarlo = Casted_sim.Montecarlo
 module Pool = Casted_exec.Pool
 module Workload = Casted_workloads.Workload
@@ -194,216 +194,81 @@ let test_early_stop_rejects_bad_target () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-let with_tmp_checkpoint f =
-  let path = Filename.temp_file "casted-test" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let test_checkpoint_round_trip () =
-  with_tmp_checkpoint (fun path ->
-      let t =
-        {
-          Checkpoint.seed = 42;
-          fuel_factor = 10;
-          model = Fault.Burst;
-          trials = 300;
-          next_index = 128;
-          counts = [| 50; 60; 5; 10; 3 |];
-          identity = "cjpeg/fault/CASTED/i2/d2/burst";
-        }
-      in
-      Checkpoint.save ~path t;
-      match Checkpoint.load ~path () with
-      | Ok (Some t') ->
-          Alcotest.(check int) "seed" t.Checkpoint.seed t'.Checkpoint.seed;
-          Alcotest.(check int) "fuel" t.Checkpoint.fuel_factor
-            t'.Checkpoint.fuel_factor;
-          Alcotest.(check bool) "model" true
-            (t.Checkpoint.model = t'.Checkpoint.model);
-          Alcotest.(check int) "trials" t.Checkpoint.trials
-            t'.Checkpoint.trials;
-          Alcotest.(check int) "next_index" t.Checkpoint.next_index
-            t'.Checkpoint.next_index;
-          Alcotest.(check (array int)) "counts" t.Checkpoint.counts
-            t'.Checkpoint.counts;
-          Alcotest.(check string) "identity" t.Checkpoint.identity
-            t'.Checkpoint.identity
-      | Ok None -> Alcotest.fail "checkpoint vanished"
-      | Error msg -> Alcotest.failf "round trip failed: %s" msg)
-
-let test_checkpoint_missing_and_corrupt () =
-  (match Checkpoint.load ~path:"/nonexistent/casted.ckpt" () with
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "phantom checkpoint"
-  | Error msg -> Alcotest.failf "missing file must be Ok None, got %s" msg);
-  with_tmp_checkpoint (fun path ->
-      let oc = open_out path in
-      output_string oc "not a checkpoint\n";
-      close_out oc;
-      match Checkpoint.load ~path () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupt checkpoint must be a loud error")
-
-(* The crash-recovery property: a campaign killed at any chunk boundary
-   and resumed from its checkpoint produces the bit-identical tally of
-   the uninterrupted campaign. We simulate the kill by writing the
-   checkpoint a partial prefix would have left behind. *)
+(* The crash-recovery property, through the result store (the only way
+   a campaign persists): a campaign killed at a chunk boundary leaves
+   its prefix banked, and rerunning it resumes there and produces the
+   bit-identical tally of the uninterrupted campaign — plain and
+   early-stopped, at any pool size. The kill is modelled by banking the
+   prefix a killed run leaves behind (the entry address does not carry
+   the trial count, so a shorter run writes exactly that entry); the
+   off-grid 100-trial prefix is a finished shorter cell being
+   extended. *)
 let test_resume_bit_identical () =
-  let s = schedule () in
-  let seed = 5 and trials = 200 in
-  let uninterrupted = Montecarlo.run ~seed ~trials s in
-  let g = Montecarlo.golden s in
+  let module Store = Casted_store.Store in
+  let module Engine = Casted_engine.Engine in
+  let key =
+    Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault
+      ~scheme:Scheme.Casted ~issue_width:2 ~delay:2 ()
+  in
+  let seed = 5 and trials = 600 in
   List.iter
-    (fun kill_at ->
-      with_tmp_checkpoint (fun path ->
-          let counts = Array.make (List.length Montecarlo.all_classes) 0 in
-          for index = 0 to kill_at - 1 do
-            let c = Montecarlo.trial ~golden:g ~seed ~index s in
-            let i =
-              match c with
-              | Montecarlo.Benign -> 0
-              | Montecarlo.Detected -> 1
-              | Montecarlo.Exception -> 2
-              | Montecarlo.Data_corrupt -> 3
-              | Montecarlo.Timeout -> 4
-              | Montecarlo.Recovered -> 5
-            in
-            counts.(i) <- counts.(i) + 1
-          done;
-          Checkpoint.save ~path
-            {
-              Checkpoint.seed;
-              fuel_factor = 10;
-              model = Fault.Reg_bit;
-              trials;
-              next_index = kill_at;
-              counts;
-              identity = "";
-            };
+    (fun ci_halfwidth ->
+      let uninterrupted =
+        Engine.with_engine ~jobs:2 (fun e ->
+            Engine.campaign e ~seed ?ci_halfwidth ~trials key)
+      in
+      if ci_halfwidth <> None then
+        Alcotest.(check bool) "the early stop fires past the kill points"
+          true
+          (uninterrupted.Montecarlo.trials > 128
+          && uninterrupted.Montecarlo.trials < trials);
+      List.iter
+        (fun kill_at ->
           List.iter
             (fun jobs ->
-              let resumed =
-                Pool.with_pool ~jobs (fun pool ->
-                    Montecarlo.run ~pool ~seed ~checkpoint:path ~resume:true
-                      ~trials s)
-              in
-              same_result
-                (Printf.sprintf "killed at %d, resumed with jobs=%d" kill_at
-                   jobs)
-                resumed uninterrupted)
-            [ 1; 4 ]))
-    [ 64; 128 ]
+              with_store_dir (fun dir ->
+                  let store = Store.open_exn ~create:true dir in
+                  Engine.with_engine ~jobs (fun e ->
+                      let run n =
+                        Engine.campaign_stored e ~seed ?ci_halfwidth ~store
+                          ~trials:n key
+                      in
+                      ignore (run kill_at : Engine.stored_campaign);
+                      let resumed = run trials in
+                      let what =
+                        Printf.sprintf "%s killed at %d, resumed with jobs=%d"
+                          (if ci_halfwidth = None then "plain" else "ci")
+                          kill_at jobs
+                      in
+                      Alcotest.(check int) (what ^ ": served the prefix")
+                        kill_at resumed.Engine.served;
+                      same_result what resumed.Engine.result uninterrupted)))
+            [ 1; 4 ])
+        [ 64; 100; 128 ])
+    [ None; Some 4.0 ];
+  (* The early stop fires only on the chunk grid: a prior that already
+     meets the target off the grid (a finished 100-trial cell) runs on
+     to the next boundary, where a cold campaign would have checked. *)
+  let r =
+    Montecarlo.run ~seed ~ci_halfwidth:10.0
+      ~prior:(100, [| 0; 100; 0; 0; 0; 0 |])
+      ~trials (schedule ())
+  in
+  Alcotest.(check int) "off-grid prior stops on the grid" 128
+    r.Montecarlo.trials
 
-(* Resuming against a checkpoint from a different campaign is a loud
-   mismatch, not a silently wrong tally. *)
+(* A store-resumed campaign refuses a prior that cannot be the banked
+   prefix it claims to be, rather than silently merging tallies. *)
 let test_resume_rejects_mismatch () =
   let s = schedule () in
-  with_tmp_checkpoint (fun path ->
-      Checkpoint.save ~path
-        {
-          Checkpoint.seed = 999;
-          fuel_factor = 10;
-          model = Fault.Reg_bit;
-          trials = 200;
-          next_index = 64;
-          counts = [| 30; 30; 2; 1; 1 |];
-          identity = "";
-        };
-      match
-        Montecarlo.run ~seed:5 ~checkpoint:path ~resume:true ~trials:200 s
-      with
-      | _ -> Alcotest.fail "expected Invalid_argument on seed mismatch"
-      | exception Invalid_argument _ -> ())
-
-(* The config-mismatch hole: a checkpoint carries the campaign's
-   (workload, scheme, config, fault-model) identity, and resuming under
-   any other identity must fail loudly even when seed, model, trial
-   count and tally shape all happen to match. *)
-let test_resume_rejects_identity_mismatch () =
-  let s = schedule () in
-  let saved ~identity path =
-    Checkpoint.save ~path
-      {
-        Checkpoint.seed = 5;
-        fuel_factor = 10;
-        model = Fault.Reg_bit;
-        trials = 200;
-        next_index = 64;
-        counts = [| 60; 2; 1; 1; 0 |];
-        identity;
-      }
+  let raises what prior =
+    match Montecarlo.run ~seed:5 ~prior ~trials:200 s with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
   in
-  with_tmp_checkpoint (fun path ->
-      saved ~identity:"h263dec/fault/DCED/i4/d1/reg-bit" path;
-      (match
-         Montecarlo.run ~seed:5 ~checkpoint:path ~resume:true
-           ~identity:"cjpeg/fault/CASTED/i2/d2/reg-bit" ~trials:200 s
-       with
-      | _ -> Alcotest.fail "expected Invalid_argument on identity mismatch"
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool) "message names both identities" true
-            (Helpers.contains msg "h263dec/fault/DCED/i4/d1"
-            && Helpers.contains msg "cjpeg/fault/CASTED/i2/d2"));
-      (* A checkpoint written before the identity field existed (empty
-         identity) must also be rejected by an identity-carrying
-         resume. *)
-      saved ~identity:"" path;
-      match
-        Montecarlo.run ~seed:5 ~checkpoint:path ~resume:true
-          ~identity:"cjpeg/fault/CASTED/i2/d2/reg-bit" ~trials:200 s
-      with
-      | _ -> Alcotest.fail "expected Invalid_argument on legacy checkpoint"
-      | exception Invalid_argument _ -> ())
-
-(* End-to-end through the engine: the engine stamps its cache key into
-   the checkpoint, so resuming the same key works and resuming a
-   different scheme fails loudly. *)
-let test_engine_resume_identity () =
-  with_tmp_checkpoint (fun path ->
-      Casted_engine.Engine.with_engine ~jobs:2 (fun e ->
-          let key scheme =
-            Casted_engine.Cache.key ~workload:"cjpeg" ~size:Workload.Fault
-              ~scheme ~issue_width:2 ~delay:2 ()
-          in
-          let r =
-            Casted_engine.Engine.campaign e ~seed:7 ~checkpoint:path
-              ~trials:100 (key Scheme.Casted)
-          in
-          let resumed =
-            Casted_engine.Engine.campaign e ~seed:7 ~checkpoint:path
-              ~resume:true ~trials:100 (key Scheme.Casted)
-          in
-          same_result "engine re-resume of finished campaign" resumed r;
-          match
-            Casted_engine.Engine.campaign e ~seed:7 ~checkpoint:path
-              ~resume:true ~trials:100 (key Scheme.Dced)
-          with
-          | _ ->
-              Alcotest.fail "expected Invalid_argument on scheme mismatch"
-          | exception Invalid_argument msg ->
-              Alcotest.(check bool) "message names the checkpoint identity"
-                true
-                (Helpers.contains msg "CASTED" && Helpers.contains msg "DCED")))
-
-(* A finished campaign leaves a checkpoint whose index covers every
-   trial, so re-resuming runs nothing and reproduces the tally. *)
-let test_checkpoint_written_and_final () =
-  let s = schedule () in
-  with_tmp_checkpoint (fun path ->
-      let r =
-        Montecarlo.run ~seed:6 ~checkpoint:path ~checkpoint_every:64
-          ~trials:100 s
-      in
-      (match Checkpoint.load ~path () with
-      | Ok (Some c) ->
-          Alcotest.(check int) "final index" 100 c.Checkpoint.next_index
-      | Ok None -> Alcotest.fail "no checkpoint written"
-      | Error msg -> Alcotest.failf "unreadable checkpoint: %s" msg);
-      let resumed =
-        Montecarlo.run ~seed:6 ~checkpoint:path ~resume:true ~trials:100 s
-      in
-      same_result "re-resume of a finished campaign" resumed r)
+  raises "counts do not sum to the index" (64, [| 30; 30; 2; 1; 0; 0 |]);
+  raises "wrong number of classes" (64, [| 60; 2; 1; 1 |]);
+  raises "index past the campaign" (256, [| 256; 0; 0; 0; 0; 0 |])
 
 (* Recovery campaigns keep the engine's determinism contract: the
    recovered tally of a TMR (voting) and a ROLLBACK (retrying) campaign
@@ -484,18 +349,9 @@ let suite =
       case "early stop deterministic across pools"
         test_early_stop_deterministic;
       case "early stop rejects bad target" test_early_stop_rejects_bad_target;
-      case "checkpoint round trip" test_checkpoint_round_trip;
-      case "checkpoint missing vs corrupt" test_checkpoint_missing_and_corrupt;
       case "killed + resumed campaign is bit-identical"
         test_resume_bit_identical;
-      case "resume rejects a mismatched checkpoint"
-        test_resume_rejects_mismatch;
-      case "resume rejects a mismatched campaign identity"
-        test_resume_rejects_identity_mismatch;
-      case "engine stamps and enforces checkpoint identity"
-        test_engine_resume_identity;
-      case "finished campaign leaves a complete checkpoint"
-        test_checkpoint_written_and_final;
+      case "resume rejects a mismatched prior" test_resume_rejects_mismatch;
       case "recovery campaigns are pool-size independent"
         test_recovery_campaign_deterministic;
       case "DME campaigns are pool-size independent and shed mem SDCs"

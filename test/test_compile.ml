@@ -131,16 +131,20 @@ let same_result msg (a : Montecarlo.result) (b : Montecarlo.result) =
   ck "recovered" a.Montecarlo.recovered b.Montecarlo.recovered
 
 (* Compiled campaigns are pool-size independent, and match the
-   interpreter tally bit for bit. *)
+   interpreter reference (neither the compiled engine nor replay, on
+   the cell's decoded program) tally bit for bit. *)
 let test_campaign_jobs_bit_identity () =
   let k = cjpeg_key () in
-  let campaign engine ~compile =
-    Engine.campaign engine ~seed:7 ~compile ~trials:256 k
-  in
-  let one = Engine.with_engine ~jobs:1 (campaign ~compile:true) in
-  let four = Engine.with_engine ~jobs:4 (campaign ~compile:true) in
+  let campaign engine = Engine.campaign engine ~seed:7 ~trials:256 k in
+  let one = Engine.with_engine ~jobs:1 campaign in
+  let four = Engine.with_engine ~jobs:4 campaign in
   same_result "jobs 1 vs 4 (compiled)" one four;
-  let interp = Engine.with_engine ~jobs:4 (campaign ~compile:false) in
+  let interp =
+    Engine.with_engine ~jobs:4 (fun e ->
+        Montecarlo.run_decoded ~pool:(Engine.pool e) ~seed:7 ~compile:false
+          ~replay:false ~trials:256
+          (Cache.decoded (Engine.cache e) k))
+  in
   same_result "compiled vs interpreter" one interp
 
 let suite =

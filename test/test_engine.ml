@@ -193,8 +193,6 @@ let test_job_model () =
                 fuel_factor = 10;
                 model = Casted_sim.Fault.Reg_bit;
                 ci_halfwidth = None;
-                checkpoint = None;
-                resume = false;
               };
           ]
       with
@@ -252,11 +250,11 @@ let test_campaign_deterministic_all_models () =
         par seq)
     Casted_sim.Fault.all_models
 
-(* Golden pins for the identity strings that campaign checkpoints embed
-   and the result store hashes into entry addresses. These literals are
-   the on-disk compatibility contract: if one of these checks fails, the
-   change orphans every persisted checkpoint and store entry, so it must
-   be an explicit migration, never an accident. *)
+(* Golden pins for the identity strings the result store hashes into
+   entry addresses. These literals are the on-disk compatibility
+   contract: if one of these checks fails, the change orphans every
+   persisted store entry, so it must be an explicit migration, never an
+   accident. *)
 let test_identity_golden_matrix () =
   let expected =
     List.concat_map

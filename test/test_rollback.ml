@@ -272,12 +272,18 @@ let test_engine_campaign () =
         Cache.key ~workload ~size:W.Fault ~scheme:Scheme.Rollback
           ~issue_width:2 ~delay:2 ()
       in
-      let run ?compile ?replay jobs =
+      let run jobs =
         Engine.with_engine ~jobs (fun e ->
-            Engine.campaign e ?compile ?replay ~seed:21 ~model ~trials:96 key)
+            Engine.campaign e ~seed:21 ~model ~trials:96 key)
       in
       let seq = run 1 and par = run 4 in
-      let reference = run ~compile:false ~replay:false 2 in
+      let reference =
+        Engine.with_engine ~jobs:2 (fun e ->
+            Montecarlo.run_decoded ~pool:(Engine.pool e) ~seed:21 ~model
+              ~compile:false ~replay:false
+              ~retry_budget:Engine.default_retry_budget ~trials:96
+              (Cache.decoded (Engine.cache e) key))
+      in
       let what = Printf.sprintf "%s %s" workload (Fault.model_name model) in
       Alcotest.(check bool) (what ^ ": jobs=4 = jobs=1") true (seq = par);
       Alcotest.(check (array int))

@@ -14,28 +14,6 @@ let spec =
   Cache.key ~workload:"cjpeg" ~size:Workload.Fault ~scheme:Scheme.Casted
     ~issue_width:2 ~delay:2 ()
 
-(* Fresh store directory per test, removed afterwards. *)
-let dir_counter = ref 0
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let with_store_dir f =
-  incr dir_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "casted-store-test-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  if Sys.file_exists dir then rm_rf dir;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () -> f dir)
-
 let with_store f = with_store_dir (fun dir -> f (Store.open_exn ~create:true dir))
 
 let same_result msg (a : Montecarlo.result) (b : Montecarlo.result) =
@@ -338,7 +316,9 @@ let test_shard_merge_matches_single () =
           same_result "served merge" warm.Engine.result single))
     [ 1; 4 ]
 
-let test_store_rejects_early_stop_and_checkpoint () =
+(* Sharding and early stopping stay apart: each shard would stop on its
+   own partial tally. Refused before anything is simulated. *)
+let test_store_refuses_shard_early_stop () =
   with_store (fun s ->
       Engine.with_engine ~jobs:1 (fun e ->
           let raises msg f =
@@ -347,12 +327,160 @@ let test_store_rejects_early_stop_and_checkpoint () =
                 Alcotest.fail (msg ^ ": no exception")
             | exception Invalid_argument _ -> ()
           in
-          raises "ci_halfwidth" (fun () ->
-              Engine.campaign_stored e ~store:s ~ci_halfwidth:1.0 ~trials:64
-                spec);
-          raises "checkpoint" (fun () ->
-              Engine.campaign_stored e ~store:s ~checkpoint:"/tmp/x" ~trials:64
-                spec)))
+          raises "store" (fun () ->
+              Engine.campaign_stored e ~store:s ~shard:(0, 2)
+                ~ci_halfwidth:1.0 ~trials:128 spec);
+          raises "no store" (fun () ->
+              Engine.campaign_stored e ~shard:(0, 2) ~ci_halfwidth:1.0
+                ~trials:128 spec);
+          Alcotest.(check int) "nothing banked" 0 (Store.stats s).Store.writes))
+
+(* An unsharded store campaign banks its running tally after every
+   finished chunk but the last, then the final tally: 200 trials are
+   chunks [0,64) [64,128) [128,192) [192,200) — three banks plus the
+   final write. *)
+let test_unsharded_banks_every_chunk () =
+  with_store (fun s ->
+      Engine.with_engine ~jobs:2 (fun e ->
+          let before = (Store.stats s).Store.writes in
+          let sc =
+            Engine.campaign_stored e ~seed:17 ~store:s ~trials:200 spec
+          in
+          Alcotest.(check int) "store.writes delta" 4
+            ((Store.stats s).Store.writes - before);
+          Alcotest.(check int) "engine store_writes" 4
+            (Engine.store_counters e).Engine.store_writes;
+          Alcotest.(check int) "simulated everything" 200 sc.Engine.simulated))
+
+(* Early-stopped cells bank like any other: the store tally equals the
+   storeless early-stopped one, a rerun simulates nothing, and the
+   target is part of the identity — a ci-keyed entry never serves a
+   request without a target (or with another one), nor the other way
+   round. *)
+let test_early_stop_cells () =
+  let key ?ci_halfwidth () =
+    Store.key ?ci_halfwidth ~identity:"cjpeg/fault/CASTED/i2/d2/reg-bit"
+      ~seed:7 ~fuel_factor:10 ~trials:256 ()
+  in
+  Alcotest.(check string)
+    "ci entry address"
+    "cjpeg/fault/CASTED/i2/d2/reg-bit|seed=7|fuel=10|retry=-1|ci=2.5"
+    (Store.address (key ~ci_halfwidth:2.5 ()));
+  Alcotest.(check bool) "targets address apart" true
+    (Store.hash (key ~ci_halfwidth:2.5 ()) <> Store.hash (key ())
+    && Store.hash (key ~ci_halfwidth:0.1 ())
+       <> Store.hash (key ~ci_halfwidth:0.1000001 ()));
+  with_store (fun s ->
+      let seed = 19 and trials = 2000 and ci = 5.0 in
+      Engine.with_engine ~jobs:2 (fun e ->
+          let reference =
+            Engine.campaign e ~seed ~ci_halfwidth:ci ~trials spec
+          in
+          Alcotest.(check bool) "the reference stops early" true
+            (reference.Montecarlo.trials < trials);
+          let run ?ci_halfwidth () =
+            Engine.campaign_stored e ~seed ?ci_halfwidth ~store:s ~trials spec
+          in
+          (* A plain entry first: it must not serve the ci request. *)
+          let plain = run () in
+          Alcotest.(check int) "plain cold" trials plain.Engine.simulated;
+          let cold = run ~ci_halfwidth:ci () in
+          Alcotest.(check int) "ci cold simulates its own prefix"
+            reference.Montecarlo.trials cold.Engine.simulated;
+          same_result "ci cold vs storeless" cold.Engine.result reference;
+          (* Audit re-runs an early-stopped entry with its target: the
+             banked one matches, one banked past its stopping point
+             does not. *)
+          let audit entry =
+            Montecarlo.counts
+              (Engine.resimulate e ~model:Casted_sim.Fault.Reg_bit spec entry)
+          in
+          let ci_key =
+            Store.key ~ci_halfwidth:ci
+              ~identity:(Engine.campaign_identity spec Casted_sim.Fault.Reg_bit)
+              ~seed ~fuel_factor:10 ~trials ()
+          in
+          (match Store.find s ci_key with
+          | Ok (Some banked) ->
+              Alcotest.(check (array int)) "early-stopped entry audits clean"
+                banked.Store.counts (audit banked);
+              let past = reference.Montecarlo.trials + 64 in
+              let counts =
+                Montecarlo.counts (Engine.campaign e ~seed ~trials:past spec)
+              in
+              Alcotest.(check bool) "entry past its stop mismatches" true
+                (audit { banked with Store.trials_done = past; counts }
+                <> counts)
+          | _ -> Alcotest.fail "the early-stopped cell was not banked");
+          let hits () = (Engine.store_counters e).Engine.full_hits in
+          let hits_before = hits () in
+          let warm = run ~ci_halfwidth:ci () in
+          Alcotest.(check int) "ci warm is a full hit" 1
+            (hits () - hits_before);
+          Alcotest.(check int) "ci warm simulates nothing" 0
+            warm.Engine.simulated;
+          Alcotest.(check int) "ci warm serves the prefix"
+            reference.Montecarlo.trials warm.Engine.served;
+          same_result "ci warm vs storeless" warm.Engine.result reference;
+          let other = run ~ci_halfwidth:(ci *. 2.0) () in
+          Alcotest.(check bool) "another target is simulated" true
+            (other.Engine.simulated > 0);
+          let plain_warm = run () in
+          Alcotest.(check int) "plain warm simulates nothing" 0
+            plain_warm.Engine.simulated;
+          same_result "plain entry untouched" plain_warm.Engine.result
+            plain.Engine.result))
+
+(* [casted store audit] re-simulates what an entry banked. A killed
+   shard worker's entry holds only its first owned chunks: it audits
+   clean against exactly those chunks, and a tampered copy still
+   mismatches. The kill is a bank hook that raises after the first
+   banked chunk. *)
+let test_audit_partial_shard_entry () =
+  let seed = 23 and trials = 400 and shard = (0, 2) in
+  Engine.with_engine ~jobs:2 (fun e ->
+      let partial = ref None in
+      (match
+         Montecarlo.run_decoded ~pool:(Engine.pool e) ~seed ~shard
+           ~bank:(fun ~next:_ r ->
+             partial := Some r;
+             raise Exit)
+           ~trials
+           (Cache.decoded (Engine.cache e) spec)
+       with
+      | _ -> Alcotest.fail "the bank hook did not interrupt the campaign"
+      | exception Exit -> ());
+      let r = Option.get !partial in
+      let entry counts =
+        {
+          Store.key =
+            Store.key ~shard
+              ~identity:(Engine.campaign_identity spec Casted_sim.Fault.Reg_bit)
+              ~seed ~fuel_factor:10 ~trials ();
+          trials_done = Array.fold_left ( + ) 0 counts;
+          counts;
+          golden_cycles = r.Montecarlo.golden_cycles;
+          golden_dyn = r.Montecarlo.golden_dyn;
+          population = r.Montecarlo.population;
+          model = "reg-bit";
+          spec = None;
+        }
+      in
+      let counts = Montecarlo.counts r in
+      Alcotest.(check int) "one chunk banked" Montecarlo.chunk_trials
+        (Array.fold_left ( + ) 0 counts);
+      let audit counts =
+        Montecarlo.counts
+          (Engine.resimulate e ~model:Casted_sim.Fault.Reg_bit spec
+             (entry counts))
+      in
+      Alcotest.(check (array int)) "partial entry audits clean" counts
+        (audit counts);
+      let tampered = Array.copy counts in
+      tampered.(0) <- tampered.(0) - 1;
+      tampered.(1) <- tampered.(1) + 1;
+      Alcotest.(check bool) "tampered entry mismatches" true
+        (audit tampered <> tampered))
 
 let test_work_queue_and_claims () =
   with_store (fun s ->
@@ -475,8 +603,14 @@ let suite =
         test_incremental_extend;
       case "2-shard run merges bit-identically to 1 process"
         test_shard_merge_matches_single;
-      case "store refuses early-stop and checkpoint combos"
-        test_store_rejects_early_stop_and_checkpoint;
+      case "store refuses shard + early stop"
+        test_store_refuses_shard_early_stop;
+      case "unsharded campaign banks every chunk"
+        test_unsharded_banks_every_chunk;
+      case "early-stopped cells bank, serve and never cross"
+        test_early_stop_cells;
+      case "audit accepts a killed shard's partial entry"
+        test_audit_partial_shard_entry;
       case "work queue enqueue/claim/release" test_work_queue_and_claims;
       case "stale lock of a dead worker is broken" test_work_stale_lock_broken;
       case "gc sweeps merged-away shard entries" test_gc_shards_after_merge;
