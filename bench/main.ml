@@ -114,41 +114,58 @@ let banner name =
   Printf.printf "\n================ %s ================\n%!" name
 
 (* Timed seconds behind every rate a ratio gate compares. On a shared
-   2-core box the cjpeg compiled-over-replay ratio read 1.50-1.92 over
-   16 runs with quarter-second windows, 1.55-2.03 over 12 with
-   half-second and 1.39-1.96 over 37 with one-second windows: longer
-   windows do not narrow it, as part of the spread is per process. *)
+   2-core box a ratio of two window totals read 1.50-1.92 over 16 runs
+   with quarter-second windows, 1.55-2.03 over 12 with half-second and
+   1.39-1.96 over 37 with one-second windows: longer windows do not
+   narrow it, as part of the spread is per process ([paired_ratio]
+   takes a median over rounds instead). *)
 let rate_window_s = 0.5
 
-(* [(units/s, seconds)] for each of [runs] (each call returns the units
-   of work it did), after one untimed warm-up call of each. The runs
-   take turns, one call at a time, among those with less than
-   [rate_window_s] timed so far: the ratio gates compare rates measured
-   side by side, so a slow drift of a shared box hits both alike, and
-   each rate covers a window long enough to be stable. *)
+(* [(units/s, seconds, per-call units/s)] for each of [runs] (each call
+   returns the units of work it did), after one untimed warm-up call of
+   each. The runs take turns, one call at a time, among those with less
+   than [rate_window_s] timed so far: the ratio gates compare rates
+   measured side by side, so a slow drift of a shared box hits both
+   alike, and each rate covers a window long enough to be stable. Call
+   [k] of every run falls in the same round of turns, and each call pays
+   for whatever collection work falls due while it runs. *)
 let interleaved_rates runs =
   let runs = Array.of_list runs in
   Array.iter (fun run -> ignore (run () : int)) runs;
   let units = Array.make (Array.length runs) 0 in
   let secs = Array.make (Array.length runs) 0.0 in
+  let turns = Array.make (Array.length runs) [] in
   while Array.exists (fun dt -> dt < rate_window_s) secs do
     Array.iteri
       (fun i run ->
         if secs.(i) < rate_window_s then begin
           let t0 = Unix.gettimeofday () in
-          units.(i) <- units.(i) + run ();
-          secs.(i) <- secs.(i) +. (Unix.gettimeofday () -. t0)
+          let u = run () in
+          let dt = Unix.gettimeofday () -. t0 in
+          units.(i) <- units.(i) + u;
+          secs.(i) <- secs.(i) +. dt;
+          turns.(i) <- (float_of_int u /. dt) :: turns.(i)
         end)
       runs
   done;
   Array.to_list
-    (Array.mapi (fun i u -> (float_of_int u /. secs.(i), secs.(i))) units)
+    (Array.mapi
+       (fun i u ->
+         ( float_of_int u /. secs.(i),
+           secs.(i),
+           Array.of_list (List.rev turns.(i)) ))
+       units)
 
-(* Ratio of two interleaved rates: [a]'s over [b]'s. *)
-let rate_ratio a b =
-  match interleaved_rates [ a; b ] with
-  | [ (ra, _); (rb, _) ] -> ra /. rb
-  | _ -> assert false
+(* The estimator behind every gated ratio: the median over the rounds
+   two [interleaved_rates] runs shared of [a]'s per-call rate over
+   [b]'s. The two calls of a round ran back to back, under the same
+   load, and the median drops the rounds a burst of other load on a
+   shared box hit, where a ratio of the two window totals does not. *)
+let paired_ratio (_, _, a) (_, _, b) =
+  let n = min (Array.length a) (Array.length b) in
+  let r = Array.init n (fun i -> a.(i) /. b.(i)) in
+  Array.sort compare r;
+  (r.((n - 1) / 2) +. r.(n / 2)) /. 2.0
 
 (* One fault-free run of a schedule on the compiled engine, decode and
    stage-2 compile included. *)
@@ -371,22 +388,28 @@ let section_recovery_overhead () =
   (* Rollback trials/s on the default path ([Engine.campaign]: compiled
      engine, lazy region checkpoints, prefix replay) over the
      interpreter's eager-snapshot reference with neither
-     ([Montecarlo.run_decoded ~compile:false ~replay:false] on the
-     cell's decoded program): two rates of the same cell on the same
-     box, so a machine-independent ratio. Both run warm (the campaign
+     ([Montecarlo.run_decoded] without a compiled program, on the cell's
+     decoded program): two rates of the same cell on the same box, so a
+     machine-independent ratio. Both run warm (the campaign
      above filled the engine cache), interleaved over repeated campaigns
      for [rate_window_s] each. *)
   let trials_of (r : Montecarlo.result) = r.Montecarlo.trials in
   let rollback = key Scheme.Rollback in
   let speedup =
-    rate_ratio
-      (fun () -> trials_of (Engine.campaign engine ~seed ~trials:n rollback))
-      (fun () ->
-        trials_of
-          (Montecarlo.run_decoded ~pool:(Engine.pool engine) ~seed
-             ~compile:false ~replay:false
-             ~retry_budget:Engine.default_retry_budget ~trials:n
-             (Casted_engine.Cache.decoded (Engine.cache engine) rollback)))
+    match
+      interleaved_rates
+        [
+          (fun () ->
+            trials_of (Engine.campaign engine ~seed ~trials:n rollback));
+          (fun () ->
+            trials_of
+              (Montecarlo.run_decoded ~pool:(Engine.pool engine) ~seed
+                 ~retry_budget:Engine.default_retry_budget ~trials:n
+                 (Casted_engine.Cache.decoded (Engine.cache engine) rollback)));
+        ]
+    with
+    | [ fast; reference ] -> paired_ratio fast reference
+    | _ -> assert false
   in
   Printf.printf "ROLLBACK speedup vs the reference (compiled + replay): %.1fx\n"
     speedup;
@@ -540,16 +563,19 @@ let section_selective () =
         (Montecarlo.percent pmc Montecarlo.Data_corrupt))
     [ "cjpeg"; "h263enc"; "197.parser" ]
 
-(* Simulator throughput on the pre-decoded core and the stage-2
-   closure-threaded engine: the numbers every campaign's wall-clock
-   divides by. Uses a fixed trial count (not CASTED_TRIALS) so the
-   figure is comparable across runs, and reports the one-off decode /
-   capture / stage-2 compile costs next to the per-trial rates. Checked
-   against scripts/perf_baseline.json by the CI perf-smoke job. *)
+(* Simulator throughput on the full-length interpreter reference and the
+   stage-2 closure-threaded engine, without and with golden-prefix
+   replay: the numbers every campaign's wall-clock divides by. Uses a
+   fixed trial count (not CASTED_TRIALS) so the figure is comparable
+   across runs, and reports the one-off decode / capture / stage-2
+   compile costs next to the per-trial rates. Checked against
+   scripts/perf_baseline.json by the CI perf-smoke job. *)
 let sim_throughput_json : Obs.Json.t ref = ref Obs.Json.Null
 
 let section_sim_throughput () =
-  banner "Simulator throughput (pre-decoded core, cjpeg CASTED i2 d2)";
+  banner
+    "Simulator throughput (reference and compiled engine, cjpeg CASTED i2 \
+     d2)";
   (* Earlier sections leave a large live heap (engine caches full of
      compiled programs); compact so GC pressure from *their* garbage
      does not tax the per-trial rates measured here — replayed trials
@@ -587,14 +613,21 @@ let section_sim_throughput () =
   done;
   let compile_s = (Unix.gettimeofday () -. t0) /. float_of_int decode_reps in
   let stage2 = Casted_sim.Compile.of_decoded decoded in
-  (* One [tput_trials]-trial campaign on one trial path. *)
-  let campaign pool ~replay ?compiled () =
-    let replay_set = if replay then Some replay_set else None in
-    let r =
-      Montecarlo.run_decoded ~pool ~seed ~trials:tput_trials ~replay
-        ?replay_set ~compile:false ?compiled decoded
+  (* One campaign on one trial path: the full-length interpreter
+     reference, or the compiled engine without or with golden-prefix
+     replay. *)
+  let campaign ?(trials = tput_trials) pool path =
+    let compiled, replay_set =
+      match path with
+      | `Reference -> (None, None)
+      | `Compiled_full -> (Some stage2, None)
+      | `Compiled -> (Some stage2, Some replay_set)
     in
-    assert (r.Montecarlo.trials = tput_trials);
+    let r =
+      Montecarlo.run_decoded ~pool ~seed ~trials ?replay_set ?compiled
+        decoded
+    in
+    assert (r.Montecarlo.trials = trials);
     r
   in
   let report ~label n_jobs (r : Montecarlo.result) (tps, wall) =
@@ -620,18 +653,20 @@ let section_sim_throughput () =
         ] )
   in
   (* A rate from one campaign, for the jobsN rates: they gate no ratio. *)
-  let measure ~label ~replay ?compiled n_jobs =
+  let measure ~label path n_jobs =
     Pool.with_pool ~jobs:n_jobs (fun pool ->
         Gc.full_major ();
         let t0 = Unix.gettimeofday () in
-        let r = campaign pool ~replay ?compiled () in
+        let r = campaign pool path in
         let wall = Unix.gettimeofday () -. t0 in
         report ~label n_jobs r (float_of_int tput_trials /. wall, wall))
   in
   (* Rates at jobs 1, where the gated ratios read them: a campaign lasts
      only tens of milliseconds, too short for a stable ratio, so each
-     path repeats its campaign for [rate_window_s], the [paths] of one
-     call taking turns. *)
+     path repeats a one-chunk campaign for [rate_window_s], the [paths]
+     of one call taking turns. One chunk is short enough for a
+     reference window to take about ten turns, the rounds
+     [paired_ratio] takes its median over. *)
   let windowed paths =
     Pool.with_pool ~jobs:1 (fun pool ->
         let last = Array.make (List.length paths) None in
@@ -639,14 +674,16 @@ let section_sim_throughput () =
         let rates =
           interleaved_rates
             (List.mapi
-               (fun i (_, replay, compiled) () ->
-                 last.(i) <- Some (campaign pool ~replay ?compiled ());
-                 tput_trials)
+               (fun i (_, path) () ->
+                 last.(i) <-
+                   Some
+                     (campaign ~trials:Montecarlo.chunk_trials pool path);
+                 Montecarlo.chunk_trials)
                paths)
         in
         List.mapi
-          (fun i ((label, _, _), rate) ->
-            report ~label 1 (Option.get last.(i)) rate)
+          (fun i ((label, _), ((rate, wall, _) as rates)) ->
+            (snd (report ~label 1 (Option.get last.(i)) (rate, wall)), rates))
           (List.combine paths rates))
   in
   Printf.printf "decode: %.3f ms per schedule (a campaign decodes once)\n%!"
@@ -659,24 +696,23 @@ let section_sim_throughput () =
   Printf.printf
     "stage-2 compile: %.3f ms per program (a campaign compiles once)\n%!"
     (1000.0 *. compile_s);
-  (* Full trials take their own window: taking turns with the replayed
-     ones, which allocate far less per trial, read a lower
-     [replay_speedup_jobs1]. *)
-  let tps_full1, j1 =
-    match windowed [ ("full", false, None) ] with
-    | [ r ] -> r
-    | _ -> assert false
-  in
-  let _, jn = measure ~label:"full" ~replay:false jobs in
-  let (tps_replay1, r1), (tps_compiled1, c1) =
+  (* All three paths take turns, so load drift over the section taxes
+     each alike. The gated ratios are medians over the rounds of turns
+     ([paired_ratio]). *)
+  let (j1, full1), (cf1, compiled_full1), (c1, compiled1) =
     match
-      windowed [ ("replayed", true, None); ("compiled", true, Some stage2) ]
+      windowed
+        [
+          ("full", `Reference);
+          ("compfull", `Compiled_full);
+          ("compiled", `Compiled);
+        ]
     with
-    | [ a; b ] -> (a, b)
+    | [ a; b; c ] -> (a, b, c)
     | _ -> assert false
   in
-  let _, rn = measure ~label:"replayed" ~replay:true jobs in
-  let _, cn = measure ~label:"compiled" ~replay:true ~compiled:stage2 jobs in
+  let _, jn = measure ~label:"full" `Reference jobs in
+  let _, cn = measure ~label:"compiled" `Compiled jobs in
   (* Golden runs per second on the compiled engine over the decoded
      interpreter (the reference): the speedup every sweep point, single
      run and replay capture gets. Both run warm (decoded and compiled
@@ -689,14 +725,22 @@ let section_sim_throughput () =
     1
   in
   let golden_speedup =
-    rate_ratio
-      (runs_of (fun () -> Simulator.run_compiled stage2))
-      (runs_of (fun () -> Simulator.run_decoded decoded))
+    match
+      interleaved_rates
+        [
+          runs_of (fun () -> Simulator.run_compiled stage2);
+          runs_of (fun () -> Simulator.run_decoded decoded);
+        ]
+    with
+    | [ compiled; reference ] -> paired_ratio compiled reference
+    | _ -> assert false
   in
-  let speedup = tps_replay1 /. tps_full1 in
-  let compiled_speedup = tps_compiled1 /. tps_replay1 in
-  Printf.printf "replay speedup (jobs=1): %.2fx\n%!" speedup;
-  Printf.printf "compiled speedup over decoded replay (jobs=1): %.2fx\n%!"
+  let speedup = paired_ratio compiled1 compiled_full1 in
+  let compiled_speedup = paired_ratio compiled_full1 full1 in
+  Printf.printf "replay speedup on the compiled engine (jobs=1): %.2fx\n%!"
+    speedup;
+  Printf.printf
+    "compiled speedup over the interpreter, full length (jobs=1): %.2fx\n%!"
     compiled_speedup;
   Printf.printf "golden run speedup, compiled over the interpreter: %.2fx\n%!"
     golden_speedup;
@@ -717,8 +761,7 @@ let section_sim_throughput () =
           Obs.Json.Int (Casted_sim.Replay.total_bytes replay_set) );
         ("jobs1", j1);
         ("jobsN", jn);
-        ("replay1", r1);
-        ("replayN", rn);
+        ("compiled_full1", cf1);
         ("compiled1", c1);
         ("compiledN", cn);
         ("replay_speedup_jobs1", f speedup);

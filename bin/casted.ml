@@ -747,21 +747,25 @@ let asm_cmd =
 let trace_cmd =
   let run bench scheme issue delay size trials trace metrics =
     let path = Option.value trace ~default:"trace.json" in
+    ignore (find_workload bench);
     with_obs ~trace:(Some path) ~metrics (fun () ->
-        let w = find_workload bench in
-        let program = w.W.build size in
-        let compiled =
-          Pipeline.compile ~scheme ~issue_width:issue ~delay program
-        in
-        let r = golden_run compiled.Pipeline.schedule in
-        Format.printf "%s / %s on %a@." bench (Scheme.name scheme)
-          Casted_machine.Config.pp compiled.Pipeline.config;
-        Format.printf "golden: %a@." Outcome.pp r;
-        if trials > 0 then begin
-          let mc = Montecarlo.run ~trials compiled.Pipeline.schedule in
-          Format.printf "faults: %a@." Montecarlo.pp mc
-        end;
-        0)
+        with_engine None (fun engine ->
+            (* One cell through the engine: the golden run and the
+               campaign share its compile, decode and stage-2 program,
+               and the campaign runs exactly as [casted campaign] does
+               (retry budget included). *)
+            let key =
+              Casted_engine.Cache.key ~workload:bench ~size ~scheme
+                ~issue_width:issue ~delay ()
+            in
+            let compiled, r = Engine.simulate engine key in
+            Format.printf "%s / %s on %a@." bench (Scheme.name scheme)
+              Casted_machine.Config.pp compiled.Pipeline.config;
+            Format.printf "golden: %a@." Outcome.pp r;
+            if trials > 0 then
+              Format.printf "faults: %a@." Montecarlo.pp
+                (Engine.campaign engine ~trials key);
+            0))
   in
   let trials =
     Arg.(

@@ -73,39 +73,54 @@ let identity k =
   in
   Format.asprintf "%a%s" pp_key k extras
 
+(* Everything one configuration needs, prepared once per engine: the
+   schedule compile (made with the entry) and the execution artifacts
+   derived from it — decoded program, stage-2 compiled program, replay
+   snapshot set — each filled on first use, so a sweep never captures
+   and a store full hit never compiles. Every artifact is immutable and
+   shared read-only by every campaign and pool domain. *)
+type entry = {
+  schedule : Pipeline.compiled;
+  mutable decoded : Casted_sim.Decode.t option;
+  mutable compiled : Casted_sim.Compile.t option;
+  mutable replay : Casted_sim.Replay.t option;
+}
+
+(* Per-stage lookup counters, mirrored into [Casted_obs.Metrics]. *)
+type counter = {
+  hit : string;
+  miss : string;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let counter stage =
+  {
+    hit = "engine.cache." ^ stage ^ "hits";
+    miss = "engine.cache." ^ stage ^ "misses";
+    hits = 0;
+    misses = 0;
+  }
+
 (* The key is a flat record of immediates and small variant records, so
    polymorphic equality and hashing are exact. *)
 type t = {
-  table : (key, Pipeline.compiled) Hashtbl.t;
-  decoded_table : (key, Casted_sim.Decode.t) Hashtbl.t;
-  replay_table : (key, Casted_sim.Replay.t) Hashtbl.t;
-  compiled_table : (key, Casted_sim.Compile.t) Hashtbl.t;
+  table : (key, entry) Hashtbl.t;
   mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable decoded_hits : int;
-  mutable decoded_misses : int;
-  mutable replay_hits : int;
-  mutable replay_misses : int;
-  mutable compiled_hits : int;
-  mutable compiled_misses : int;
+  schedules : counter;
+  decodes : counter;
+  stage2 : counter;
+  captures : counter;
 }
 
 let create () =
   {
     table = Hashtbl.create 64;
-    decoded_table = Hashtbl.create 64;
-    replay_table = Hashtbl.create 64;
-    compiled_table = Hashtbl.create 64;
     mutex = Mutex.create ();
-    hits = 0;
-    misses = 0;
-    decoded_hits = 0;
-    decoded_misses = 0;
-    replay_hits = 0;
-    replay_misses = 0;
-    compiled_hits = 0;
-    compiled_misses = 0;
+    schedules = counter "";
+    decodes = counter "decoded_";
+    stage2 = counter "compiled_";
+    captures = counter "replay_";
   }
 
 let build k =
@@ -119,140 +134,72 @@ let build k =
     ~optimize:k.optimize ~scheme:k.scheme ~issue_width:k.issue_width
     ~delay:k.delay program
 
+(* The one memo discipline every stage shares. [find] and [store] run
+   under the mutex; [compute] runs outside it, so distinct keys (and
+   distinct stages) build in parallel. On a same-slot race the first
+   insert wins, so every caller gets the physically equal value. *)
+let memo t c ~find ~store compute =
+  Mutex.lock t.mutex;
+  match find () with
+  | Some v ->
+      c.hits <- c.hits + 1;
+      Mutex.unlock t.mutex;
+      Casted_obs.Metrics.incr c.hit;
+      v
+  | None ->
+      Mutex.unlock t.mutex;
+      let v = compute () in
+      Mutex.lock t.mutex;
+      let v, hit =
+        match find () with
+        | Some prior ->
+            c.hits <- c.hits + 1;
+            (prior, true)
+        | None ->
+            c.misses <- c.misses + 1;
+            store v;
+            (v, false)
+      in
+      Mutex.unlock t.mutex;
+      Casted_obs.Metrics.incr (if hit then c.hit else c.miss);
+      v
+
 let compile t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.table k with
-  | Some c ->
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.hits";
-      c
-  | None ->
-      (* Compile outside the lock so distinct keys compile in parallel.
-         On a same-key race the first insert wins, so every caller gets
-         the physically equal compile. *)
-      Mutex.unlock t.mutex;
-      let c = build k in
-      Mutex.lock t.mutex;
-      let c, hit =
-        match Hashtbl.find_opt t.table k with
-        | Some prior ->
-            t.hits <- t.hits + 1;
-            (prior, true)
-        | None ->
-            t.misses <- t.misses + 1;
-            Hashtbl.add t.table k c;
-            (c, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.hits" else "engine.cache.misses");
-      c
+  memo t t.schedules
+    ~find:(fun () ->
+      Option.map (fun e -> e.schedule) (Hashtbl.find_opt t.table k))
+    ~store:(fun schedule ->
+      Hashtbl.add t.table k
+        { schedule; decoded = None; compiled = None; replay = None })
+    (fun () -> build k)
 
-(* Decoded programs are memoized separately from compiles: a campaign
-   needs the execution-ready form, a report only the schedule. Same
-   discipline as [compile] — decode outside the lock, first insert
-   wins — so every trial of every campaign on one engine shares the
-   physically equal decoded program. *)
+(* The derived stages read their slot without touching the schedule
+   counters, and fill it only after [compute] went through [compile],
+   so the entry exists by then (entries are never removed). *)
+let slot t k get = Option.bind (Hashtbl.find_opt t.table k) get
+let entry t k = Hashtbl.find t.table k
+
 let decoded t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.decoded_table k with
-  | Some d ->
-      t.decoded_hits <- t.decoded_hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.decoded_hits";
-      d
-  | None ->
-      Mutex.unlock t.mutex;
-      let c = compile t k in
-      let d = Casted_sim.Decode.of_schedule c.Pipeline.schedule in
-      Mutex.lock t.mutex;
-      let d, hit =
-        match Hashtbl.find_opt t.decoded_table k with
-        | Some prior ->
-            t.decoded_hits <- t.decoded_hits + 1;
-            (prior, true)
-        | None ->
-            t.decoded_misses <- t.decoded_misses + 1;
-            Hashtbl.add t.decoded_table k d;
-            (d, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.decoded_hits"
-         else "engine.cache.decoded_misses");
-      d
+  memo t t.decodes
+    ~find:(fun () -> slot t k (fun e -> e.decoded))
+    ~store:(fun d -> (entry t k).decoded <- Some d)
+    (fun () -> Casted_sim.Decode.of_schedule (compile t k).Pipeline.schedule)
 
-(* Stage-2 compiled programs complete the per-key artifact chain:
-   schedule -> decoded -> compiled. The compiled form holds no mutable
-   state (a [cctx] is built per run), so one program is shared by every
-   trial of every campaign and pool domain on the engine. Same
-   discipline: compile outside the lock, first insert wins. *)
 let compiled t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.compiled_table k with
-  | Some c ->
-      t.compiled_hits <- t.compiled_hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.compiled_hits";
-      c
-  | None ->
-      Mutex.unlock t.mutex;
-      let d = decoded t k in
-      let c = Casted_sim.Compile.of_decoded d in
-      Mutex.lock t.mutex;
-      let c, hit =
-        match Hashtbl.find_opt t.compiled_table k with
-        | Some prior ->
-            t.compiled_hits <- t.compiled_hits + 1;
-            (prior, true)
-        | None ->
-            t.compiled_misses <- t.compiled_misses + 1;
-            Hashtbl.add t.compiled_table k c;
-            (c, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.compiled_hits"
-         else "engine.cache.compiled_misses");
-      c
+  memo t t.stage2
+    ~find:(fun () -> slot t k (fun e -> e.compiled))
+    ~store:(fun p -> (entry t k).compiled <- Some p)
+    (fun () -> Casted_sim.Compile.of_decoded (decoded t k))
 
-(* Replay snapshot sets ride alongside the compiled program: captured
-   once per key (one golden run, on the key's memoized stage-2 program,
-   so the cell compiles once), then shared read-only by every campaign
-   and pool domain revisiting the configuration — a sweep re-running
-   one point never re-captures. Same discipline: capture outside the
-   lock, first insert wins. *)
+(* The capture is one golden run on the key's stage-2 program, so the
+   cell compiles once for capture and trials alike. *)
 let replay t k =
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.replay_table k with
-  | Some r ->
-      t.replay_hits <- t.replay_hits + 1;
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr "engine.cache.replay_hits";
-      r
-  | None ->
-      Mutex.unlock t.mutex;
+  memo t t.captures
+    ~find:(fun () -> slot t k (fun e -> e.replay))
+    ~store:(fun r -> (entry t k).replay <- Some r)
+    (fun () ->
       let p = compiled t k in
-      let r =
-        Casted_sim.Replay.capture ~compiled:p (Casted_sim.Compile.decoded p)
-      in
-      Mutex.lock t.mutex;
-      let r, hit =
-        match Hashtbl.find_opt t.replay_table k with
-        | Some prior ->
-            t.replay_hits <- t.replay_hits + 1;
-            (prior, true)
-        | None ->
-            t.replay_misses <- t.replay_misses + 1;
-            Hashtbl.add t.replay_table k r;
-            (r, false)
-      in
-      Mutex.unlock t.mutex;
-      Casted_obs.Metrics.incr
-        (if hit then "engine.cache.replay_hits"
-         else "engine.cache.replay_misses");
-      r
+      Casted_sim.Replay.capture ~compiled:p (Casted_sim.Compile.decoded p))
 
 type stats = {
   hits : int;
@@ -271,20 +218,25 @@ type stats = {
 
 let stats t =
   Mutex.lock t.mutex;
+  let filled slot =
+    Hashtbl.fold
+      (fun _ e n -> if Option.is_some (slot e) then n + 1 else n)
+      t.table 0
+  in
   let s =
     {
-      hits = t.hits;
-      misses = t.misses;
+      hits = t.schedules.hits;
+      misses = t.schedules.misses;
       entries = Hashtbl.length t.table;
-      decoded_hits = t.decoded_hits;
-      decoded_misses = t.decoded_misses;
-      decoded_entries = Hashtbl.length t.decoded_table;
-      replay_hits = t.replay_hits;
-      replay_misses = t.replay_misses;
-      replay_entries = Hashtbl.length t.replay_table;
-      compiled_hits = t.compiled_hits;
-      compiled_misses = t.compiled_misses;
-      compiled_entries = Hashtbl.length t.compiled_table;
+      decoded_hits = t.decodes.hits;
+      decoded_misses = t.decodes.misses;
+      decoded_entries = filled (fun e -> e.decoded);
+      replay_hits = t.captures.hits;
+      replay_misses = t.captures.misses;
+      replay_entries = filled (fun e -> e.replay);
+      compiled_hits = t.stage2.hits;
+      compiled_misses = t.stage2.misses;
+      compiled_entries = filled (fun e -> e.compiled);
     }
   in
   Mutex.unlock t.mutex;

@@ -1,17 +1,20 @@
-(** Compiled-schedule cache.
+(** Per-configuration artifact cache.
 
-    Sweeps and Monte-Carlo campaigns repeatedly compile the same
+    Sweeps and Monte-Carlo campaigns repeatedly prepare the same
     [(workload, size, scheme, issue width, delay, options)] point — a
     fig-9 campaign and a perf sweep share every configuration, and the
-    CLI recompiles on every invocation of a subcommand. The cache keys
-    a {!Casted_detect.Pipeline.compile} result on the full
-    configuration tuple so each point is compiled exactly once per
-    engine, and repeated lookups return the {e physically equal}
-    compile.
+    CLI recompiles on every invocation of a subcommand. The cache keeps
+    one table keyed on the full configuration tuple. Each entry holds
+    the point's {!Casted_detect.Pipeline.compile} result plus the
+    execution artifacts derived from it — decoded program, stage-2
+    compiled program, replay snapshot set — each built on first use, so
+    every stage is built at most once per engine and only when asked
+    for (a sweep never captures; a store full hit builds nothing).
+    Repeated lookups return the {e physically equal} value.
 
     The cache is domain-safe: lookups and inserts are serialised by a
-    mutex, while compiles run outside it so distinct keys compile in
-    parallel. If two domains race to compile the same key, the first
+    mutex, while every build runs outside it so distinct keys build in
+    parallel. If two domains race to build the same artifact, the first
     insert wins and both receive the same value. *)
 
 type key = {
@@ -66,8 +69,7 @@ val compile : t -> key -> Casted_detect.Pipeline.compiled
     compiling and decoding on first use. Repeated lookups return the
     {e physically equal} decoded program, so every campaign, sweep
     point and pool worker resolving the same configuration on one
-    engine executes the same decoded object. Same locking discipline
-    as {!compile}: decode runs outside the mutex, first insert wins. *)
+    engine executes the same decoded object. *)
 val decoded : t -> key -> Casted_sim.Decode.t
 
 (** [replay t key] returns the memoized golden-run snapshot set
@@ -75,8 +77,7 @@ val decoded : t -> key -> Casted_sim.Decode.t
     and every trial share one stage-2 program) for [key], capturing it
     on first use. The set is immutable; repeated lookups return the
     physically equal value, so every campaign and pool worker on one
-    engine replays from the same snapshots. Same locking discipline as
-    {!compile}. *)
+    engine replays from the same snapshots. *)
 val replay : t -> key -> Casted_sim.Replay.t
 
 (** [compiled t key] returns the memoized stage-2 compiled program
@@ -84,14 +85,15 @@ val replay : t -> key -> Casted_sim.Replay.t
     compiling it on first use. The program is immutable (per-run state
     lives in the run's own context); repeated lookups return the
     physically equal value, so every trial of every campaign and pool
-    worker on one engine threads through the same closures. Same
-    locking discipline as {!compile}. *)
+    worker on one engine threads through the same closures. *)
 val compiled : t -> key -> Casted_sim.Compile.t
 
+(** Lookup counters per stage, and how many entries hold each artifact
+    (one table, so [entries] bounds every [*_entries] count). *)
 type stats = {
-  hits : int;
-  misses : int;
-  entries : int;
+  hits : int;  (** {!compile} lookups served from the table *)
+  misses : int;  (** schedule compiles actually performed *)
+  entries : int;  (** configurations in the table *)
   decoded_hits : int;  (** {!decoded} lookups served from the table *)
   decoded_misses : int;  (** decodes actually performed *)
   decoded_entries : int;

@@ -318,7 +318,7 @@ let campaign_stored t ?(seed = 0xCA57ED) ?(fuel_factor = 10)
     let compiled = Cache.compiled t.cache key in
     timed t `Campaign (fun () ->
         Montecarlo.run_decoded ~pool:t.pool ~seed ~fuel_factor ~model
-          ?ci_halfwidth ~replay ?replay_set ~compiled ?retry_budget ~shard
+          ?ci_halfwidth ?replay_set ~compiled ?retry_budget ~shard
           ?prior ?bank ~trials:n_trials decoded)
   in
   match store with
@@ -706,15 +706,11 @@ let utilisation t =
          s.Pool.busy_s s.Pool.wall_s
          (100.0 *. Pool.utilisation s);
        jobs_line;
-       Printf.sprintf "cache:   %d entries, %d hits, %d misses" cs.Cache.entries
-         cs.Cache.hits cs.Cache.misses;
-       Printf.sprintf "decoded: %d entries, %d hits, %d misses"
-         cs.Cache.decoded_entries cs.Cache.decoded_hits
-         cs.Cache.decoded_misses;
-       Printf.sprintf "replay:  %d snapshot sets, %d hits, %d captures"
-         cs.Cache.replay_entries cs.Cache.replay_hits cs.Cache.replay_misses;
-       Printf.sprintf "threaded: %d programs, %d hits, %d compiles"
-         cs.Cache.compiled_entries cs.Cache.compiled_hits
-         cs.Cache.compiled_misses;
+       Printf.sprintf
+         "cache:   %d cells; hits/builds: schedule %d/%d, decode %d/%d, \
+          stage-2 %d/%d, capture %d/%d"
+         cs.Cache.entries cs.Cache.hits cs.Cache.misses cs.Cache.decoded_hits
+         cs.Cache.decoded_misses cs.Cache.compiled_hits cs.Cache.compiled_misses
+         cs.Cache.replay_hits cs.Cache.replay_misses;
      ]
     @ store_lines @ [ "" ])

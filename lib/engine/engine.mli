@@ -7,8 +7,9 @@
 
     - a {!Casted_exec.Pool} of worker domains that fans out the
       embarrassingly parallel parts (sweep points, campaign trials);
-    - a {!Cache} of compiled schedules so configurations shared between
-      jobs compile exactly once;
+    - a {!Cache} of per-configuration artifacts (schedule compile,
+      decoded and stage-2 programs, replay snapshot set) so
+      configurations shared between jobs build each one exactly once;
     - per-job timing and throughput counters, rendered by
       {!utilisation}.
 
@@ -97,8 +98,9 @@ val simulate :
     the golden-run snapshot set comes from the engine cache too
     ({!Cache.replay}), so campaigns revisiting a configuration share one
     compile and one capture. The interpreter reference is
-    {!Casted_sim.Montecarlo.run_decoded} [~compile:false] on the cell's
-    {!Cache.decoded} program — bit-identical tallies.
+    {!Casted_sim.Montecarlo.run_decoded} without [~compiled] on the
+    cell's {!Cache.decoded} program — full length, bit-identical
+    tallies.
 
     A {!Casted_detect.Scheme.Rollback} spec automatically runs every
     trial as a region-rollback run with [retry_budget] (default

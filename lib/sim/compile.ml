@@ -13,9 +13,11 @@
    fuel / role accounting first, operand reads left to right, memory
    touch after the cache access and the load itself, def-slot injection
    after the write-back, branch-counter increment after the predicate
-   read. The verify oracle's four-way cross-check
-   (run/run_decoded/run_replayed/run_compiled) holds the two engines to
-   that contract over the whole example matrix.
+   read. The verify oracle's cross-check (run / run_decoded /
+   run_compiled, and this engine's replay from every capture snapshot)
+   holds the two engines to that contract over the whole example
+   matrix. Golden-prefix replay exists only here (run_replayed): the
+   interpreter is the full-length reference.
 
    Fault hooks are pre-extracted into plain int "arms" on the compile
    context: an event counter fires its fault when it equals the arm

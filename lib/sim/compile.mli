@@ -63,10 +63,11 @@ val run_replayed :
   snapshot:State.snapshot ->
   t ->
   Outcome.run
-(** Restore a golden-prefix snapshot (from {!Replay.capture}; snapshots
-    are engine independent) and execute only the suffix on the compiled
-    path. Same results as [Simulator.run_replayed] with the same
-    snapshot and fault. *)
+(** Restore a golden-prefix snapshot (from {!Replay.capture}) and
+    execute only the suffix on the compiled path — the one replay
+    implementation. Same results as the interpreter's full-length
+    [Simulator.run_decoded] with the same fault, whenever the snapshot
+    precedes the fault's trigger event. *)
 
 (** A rollback-region head the golden run passed: the entry-function
     block, and the dynamic instruction count and clock at its loop

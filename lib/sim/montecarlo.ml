@@ -110,28 +110,19 @@ let population_of_run (r : Outcome.run) =
     xcluster_reads = r.Outcome.dyn_xreads;
   }
 
-let golden_decoded ?(fuel_factor = 10) ?(replay = false) ?replay_set ?compiled
-    decoded =
+let golden_decoded ?(fuel_factor = 10) ?replay_set ?compiled decoded =
   (* Golden runs go on the compiled engine, through the caller's stage-2
-     program when it has one. The replay capture pass IS a golden run
-     (the snapshot hook only copies state), so campaigns with replay on
-     pay no extra run. *)
-  let compiled =
-    lazy
-      (match compiled with Some p -> p | None -> Compile.of_decoded decoded)
-  in
-  let replay_set =
-    match replay_set with
-    | Some _ as r -> r
-    | None ->
-        if replay then
-          Some (Replay.capture ~compiled:(Lazy.force compiled) decoded)
-        else None
-  in
+     program when it has one. A snapshot set already holds its capture
+     pass's golden run (the snapshot hook only copies state), so
+     campaigns with replay on pay no extra run. *)
   let run =
     match replay_set with
     | Some r -> Replay.golden r
-    | None -> Simulator.run_compiled (Lazy.force compiled)
+    | None ->
+        Simulator.run_compiled
+          (match compiled with
+          | Some p -> p
+          | None -> Compile.of_decoded decoded)
   in
   (match run.Outcome.termination with
   | Outcome.Exit _ -> ()
@@ -154,10 +145,11 @@ let golden ?fuel_factor sched =
    runs it or on the trials before it. *)
 (* One trial, reporting how it ran: [(class, suffix fraction, replayed)]
    where the fraction is the share of the golden run actually executed
-   (1.0 for a full-length run). When the golden carries a replay set,
-   the trial restores the latest snapshot preceding its fault's trigger
-   event and executes only the suffix — bit-identical to the full run
-   (Simulator.run_replayed), just cheaper. *)
+   (1.0 for a full-length run). On the compiled engine, when the golden
+   carries a replay set, the trial restores the latest snapshot
+   preceding its fault's trigger event and executes only the suffix —
+   bit-identical to the full run, just cheaper. Without [compiled] the
+   trial runs on the interpreter reference, always full length. *)
 let trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
     decoded =
   if Fault.population_size model g.pop = 0 then
@@ -168,71 +160,42 @@ let trial_instrumented ?retry_budget ?compiled ~model ~golden:g ~seed ~index
   else begin
     let rng = Rng.create ~seed:(Rng.derive ~seed index) in
     let fault = Fault.random model rng ~population:g.pop in
-    match (retry_budget, compiled) with
-    | Some retry_budget, Some p ->
-        (* Rollback on the compiled engine: lazy region checkpoints,
-           composed with golden-prefix replay when the golden carries a
-           snapshot set. *)
-        let prefix =
-          match g.replay with
-          | Some r -> Replay.recovery_prefix r fault
-          | None -> None
-        in
-        let c =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (Simulator.run_compiled_recovering ~fault ~fuel:g.fuel
-                    ?prefix ~retry_budget p)
-             with e -> Error e)
-        in
-        (match (g.replay, prefix) with
-        | Some r, Some pf ->
-            (c, Replay.suffix_fraction r pf.Compile.start, true)
-        | _ -> (c, 1.0, false))
-    | Some retry_budget, None ->
-        (* The reference: the interpreter's eager-snapshot rollback,
-           always full length (run_decoded keeps replay off for it). *)
-        let c =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (Simulator.run_recovering ~fault ~fuel:g.fuel ~retry_budget
-                    decoded)
-             with e -> Error e)
-        in
-        (c, 1.0, false)
-    | None, _ -> (
-    let snap =
-      match g.replay with Some r -> Replay.find r fault | None -> None
+    let fuel = g.fuel in
+    (* [start]: the snapshot the run resumes from, if it replays. *)
+    let run, start =
+      match (compiled, retry_budget) with
+      | None, None ->
+          ((fun () -> Simulator.run_decoded ~fault ~fuel decoded), None)
+      | None, Some retry_budget ->
+          (* The interpreter's eager-snapshot rollback reference. *)
+          ( (fun () ->
+              Simulator.run_recovering ~fault ~fuel ~retry_budget decoded),
+            None )
+      | Some p, Some retry_budget ->
+          (* Rollback on the compiled engine: lazy region checkpoints,
+             composed with golden-prefix replay when the golden carries
+             a snapshot set. *)
+          let prefix =
+            Option.bind g.replay (fun r -> Replay.recovery_prefix r fault)
+          in
+          ( (fun () ->
+              Simulator.run_compiled_recovering ~fault ~fuel ?prefix
+                ~retry_budget p),
+            Option.map (fun pf -> pf.Compile.start) prefix )
+      | Some p, None -> (
+          match Option.bind g.replay (fun r -> Replay.find r fault) with
+          | Some snapshot ->
+              ( (fun () ->
+                  Simulator.run_compiled_replayed ~fault ~fuel ~snapshot p),
+                Some snapshot )
+          | None -> ((fun () -> Simulator.run_compiled ~fault ~fuel p), None))
     in
-    match snap with
-    | Some snapshot ->
-        let c =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (match compiled with
-                 | Some p ->
-                     Simulator.run_compiled_replayed ~fault ~fuel:g.fuel
-                       ~snapshot p
-                 | None ->
-                     Simulator.run_replayed ~fault ~fuel:g.fuel ~snapshot
-                       decoded)
-             with e -> Error e)
-        in
-        (c, Replay.suffix_fraction (Option.get g.replay) snapshot, true)
-    | None ->
-        let c =
-          classify_result ~golden:g.run
-            (try
-               Ok
-                 (match compiled with
-                 | Some p -> Simulator.run_compiled ~fault ~fuel:g.fuel p
-                 | None -> Simulator.run_decoded ~fault ~fuel:g.fuel decoded)
-             with e -> Error e)
-        in
-        (c, 1.0, false))
+    let c =
+      classify_result ~golden:g.run (try Ok (run ()) with e -> Error e)
+    in
+    match (g.replay, start) with
+    | Some r, Some snapshot -> (c, Replay.suffix_fraction r snapshot, true)
+    | _ -> (c, 1.0, false)
   end
 
 let trial_decoded ?retry_budget ?(model = Fault.Reg_bit) ~golden ~seed ~index
@@ -304,13 +267,18 @@ let early_stopped ~ci_halfwidth r =
   stops_early ~ci_halfwidth ~detected:r.detected ~trials:r.trials
 
 let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
-    ?(model = Fault.Reg_bit) ?ci_halfwidth ?(replay = true) ?replay_set
-    ?(compile = true) ?compiled ?retry_budget ?(shard = (0, 1)) ?prior ?bank
-    ~trials decoded =
+    ?(model = Fault.Reg_bit) ?ci_halfwidth ?replay_set ?compiled
+    ?retry_budget ?(shard = (0, 1)) ?prior ?bank ~trials decoded =
   (match ci_halfwidth with
   | Some w when not (w > 0.0) ->
       invalid_arg "Montecarlo.run: ci_halfwidth must be positive"
   | _ -> ());
+  (* Replay lives on the compiled engine only; the interpreter reference
+     always runs full length. *)
+  if replay_set <> None && compiled = None then
+    invalid_arg
+      "Montecarlo.run: a replay_set needs the compiled engine (the \
+       interpreter reference runs full length)";
   (* Sharded campaigns merge through the result store; an early stop
      would make each shard's length depend on its own partial tally, so
      the combination is rejected outright. A [prior] is fine with a
@@ -361,23 +329,9 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
               recorded"
              (Array.fold_left ( + ) 0 counts)
              (owned_below start)));
-  (* Stage-2 compile: trials run on the closure-threaded engine unless
-     the caller opted out. A pre-compiled program (the engine cache's
-     memoized one) wins over compiling here. *)
-  let compiled =
-    match compiled with
-    | Some _ as p -> p
-    | None -> if compile then Some (Compile.of_decoded decoded) else None
-  in
-  (* Rollback trials compose with golden-prefix replay only on the
-     compiled engine; the interpreter's reference rollback always runs
-     full length, so replay is off for it. *)
-  let reference_rollback = retry_budget <> None && Option.is_none compiled in
-  let replay = replay && not reference_rollback in
-  let replay_set = if reference_rollback then None else replay_set in
   let g =
     Casted_obs.Trace.with_span ~cat:"mc" "mc.golden" (fun () ->
-        golden_decoded ~fuel_factor ~replay ?replay_set ?compiled decoded)
+        golden_decoded ~fuel_factor ?replay_set ?compiled decoded)
   in
   (* A program with no fault sites for this model (no memory traffic
      for [Mem], a single cluster for [Xcluster], ...) has nothing to
@@ -479,12 +433,20 @@ let run_decoded ?pool ?(seed = 0xCA57ED) ?(fuel_factor = 10)
   in
   result_of_counts ?replay_stats ~golden:g ~model ~trials:done_ counts
 
-(* Decode once per campaign, not once per trial: the decoded program is
-   immutable and shared read-only by every pool domain. *)
-let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
-    ?retry_budget ?shard ?prior ~trials sched =
-  run_decoded ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay ?compile
-    ?retry_budget ?shard ?prior ~trials (Decode.of_schedule sched)
+(* Decode (and compile, and capture) once per campaign, not once per
+   trial: every artifact is immutable and shared read-only by every pool
+   domain. *)
+let run ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?(replay = true)
+    ?(compile = true) ?retry_budget ?shard ?prior ~trials sched =
+  let decoded = Decode.of_schedule sched in
+  let compiled = if compile then Some (Compile.of_decoded decoded) else None in
+  let replay_set =
+    match compiled with
+    | Some p when replay -> Some (Replay.capture ~compiled:p decoded)
+    | _ -> None
+  in
+  run_decoded ?pool ?seed ?fuel_factor ?model ?ci_halfwidth ?replay_set
+    ?compiled ?retry_budget ?shard ?prior ~trials decoded
 
 (* Per-class counts in the [idx] order — what the result store
    persists. *)

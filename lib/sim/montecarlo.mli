@@ -123,17 +123,15 @@ val golden : ?fuel_factor:int -> Casted_sched.Schedule.t -> golden
 (** {!golden} over an already-decoded program (skips the decode). The
     golden run executes on the compiled engine.
 
-    @param replay capture a snapshot set during the golden run
-      ({!Replay.capture}) for prefix replay; the captured golden run is
-      bit-identical to a plain one (default false).
-    @param replay_set use this pre-captured set (e.g. the engine
-      cache's memoized one) instead of capturing; implies replay.
+    @param replay_set the golden-prefix snapshot set trials replay from
+      ({!Replay.capture}, or the engine cache's memoized one); its
+      capture pass's golden run is the golden run, so none is re-run.
+      Only {!trial_compiled} replays from it.
     @param compiled the stage-2 program of the decoded one (e.g. the
       engine cache's memoized one); without it the golden run compiles
       its own. *)
 val golden_decoded :
   ?fuel_factor:int ->
-  ?replay:bool ->
   ?replay_set:Replay.t ->
   ?compiled:Compile.t ->
   Decode.t ->
@@ -151,8 +149,7 @@ val golden_decoded :
 
     @param retry_budget run the trial through
       {!Simulator.run_recovering} with this rollback budget instead of
-      a plain run — the rollback-scheme reference path (always full
-      length, the golden's snapshot set is not used). *)
+      a plain run — the rollback-scheme reference path. *)
 val trial :
   ?retry_budget:int ->
   ?model:Fault.model ->
@@ -163,8 +160,9 @@ val trial :
   classification
 
 (** {!trial} over an already-decoded program. [trial ... sched] is
-    exactly [trial_decoded ... (Decode.of_schedule sched)]; campaigns
-    use this form so the schedule is decoded once, not once per trial. *)
+    exactly [trial_decoded ... (Decode.of_schedule sched)]. This is the
+    interpreter reference: it always runs full length, whatever
+    [golden.replay] holds. *)
 val trial_decoded :
   ?retry_budget:int ->
   ?model:Fault.model ->
@@ -174,9 +172,9 @@ val trial_decoded :
   Decode.t ->
   classification
 
-(** One trial on the stage-2 compiled engine, with replay composition
-    when the golden carries a snapshot set — what campaigns run by
-    default. Bit-identical to {!trial_decoded} on the same arguments. *)
+(** One trial on the stage-2 compiled engine, replayed from the
+    golden's snapshot set when it carries one — what campaigns run.
+    Bit-identical to {!trial_decoded} on the same arguments. *)
 val trial_compiled :
   ?model:Fault.model ->
   golden:golden ->
@@ -233,21 +231,23 @@ val early_stopped : ci_halfwidth:float -> result -> bool
       (default {!Fault.Reg_bit}, the paper's model).
     @param ci_halfwidth stop early at the first chunk boundary where
       {!early_stopped} holds.
-    @param replay golden-prefix replay (default true): capture
-      snapshots on the golden run and start each trial from the latest
-      snapshot preceding its fault's trigger event. Bit-identical
-      results — same tallies, same intervals — for every fault model at
-      any pool size; only the wall clock changes.
+    @param replay golden-prefix replay on the compiled engine (default
+      true; ignored with [compile] off): capture snapshots on the
+      golden run and start each trial from the latest snapshot
+      preceding its fault's trigger event. Bit-identical results — same
+      tallies, same intervals — for every fault model at any pool size;
+      only the wall clock changes.
     @param retry_budget run every trial as a region-rollback run with
       this budget (the rollback-scheme campaign path): on the compiled
       engine ({!Simulator.run_compiled_recovering}, lazy checkpoints,
       composed with replay), or with [compile] off on the interpreter's
-      eager-snapshot reference ({!Simulator.run_recovering}), which
-      forces replay off. Both give the same tallies.
+      eager-snapshot reference ({!Simulator.run_recovering}). Both give
+      the same tallies.
     @param compile run every trial on the stage-2 closure-threaded
       engine ({!Simulator.run_compiled}, default true) — bit-identical
       tallies to the interpreter, only faster. [false] is the
-      interpreter reference the tests and the bench compare against.
+      full-length interpreter reference the tests, the bench and the
+      benchmark compare against.
     @param shard [(k, n)]: simulate only the chunks whose index on the
       absolute chunk grid is congruent to [k] modulo [n] (default
       [(0, 1)] — everything). The grid is anchored at trial 0 and
@@ -278,18 +278,21 @@ val run :
   Casted_sched.Schedule.t ->
   result
 
-(** {!run} over an already-decoded program. [run sched] is exactly
-    [run_decoded (Decode.of_schedule sched)] — the engine's campaign
-    path passes the engine-cache's memoized decoded program here, so a
-    sweep re-running one configuration never re-decodes it. The decoded
-    program is immutable and shared read-only across pool domains.
+(** {!run} over an already-decoded program — the engine's campaign
+    path, which passes the engine cache's memoized artifacts, so a sweep
+    re-running one configuration never re-decodes, re-compiles or
+    re-captures it. Every artifact is immutable and shared read-only
+    across pool domains. Which engine runs the trials follows from the
+    artifacts given:
 
-    @param replay_set start trials from this pre-captured snapshot set
-      (the engine passes its memoized one) instead of capturing afresh.
-      Supplying it enables replay regardless of the [replay] flag.
-    @param compiled run trials on this stage-2-compiled program (the
-      engine passes its memoized one) instead of compiling afresh; wins
-      over the [compile] flag.
+    @param compiled run trials on this stage-2-compiled program. Without
+      it trials run on the interpreter reference ({!trial_decoded}),
+      always full length — [run ~compile:false sched] is exactly
+      [run_decoded (Decode.of_schedule sched)].
+    @param replay_set start each compiled trial from this golden-prefix
+      snapshot set ({!Replay.capture} over [compiled]). Raises
+      [Invalid_argument] without [compiled]: only the compiled engine
+      replays.
     @param bank called after every finished owned chunk except the last
       with the next trial index and the partial tally so far — the
       result store's partial-banking hook: a SIGKILLed campaign's
@@ -301,9 +304,7 @@ val run_decoded :
   ?fuel_factor:int ->
   ?model:Fault.model ->
   ?ci_halfwidth:float ->
-  ?replay:bool ->
   ?replay_set:Replay.t ->
-  ?compile:bool ->
   ?compiled:Compile.t ->
   ?retry_budget:int ->
   ?shard:int * int ->

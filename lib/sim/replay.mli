@@ -6,9 +6,10 @@
     reads), and a faulty trial is bit-identical to the golden run until
     that counter reaches the fault's target. So a {!State.snapshot}
     taken while the counter is still at or below the target is a valid
-    starting point: {!Simulator.run_compiled_replayed} (or the
-    interpreter's {!Simulator.run_replayed}) from it reproduces the
-    full run exactly, paying only the post-snapshot suffix.
+    starting point: {!Simulator.run_compiled_replayed} from it
+    reproduces the full run exactly, paying only the post-snapshot
+    suffix. Replay runs on the compiled engine only; the interpreter is
+    the full-length reference it is held to.
 
     A capture set is immutable after {!capture} and safe to share
     read-only across pool domains; the engine memoizes it alongside the

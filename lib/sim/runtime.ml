@@ -3,7 +3,7 @@
    (Compile). Both raise the same exceptions, assemble the same
    Outcome.run from a finished State.t and surface the same metrics, so
    the engines can only diverge through State itself — the property the
-   verify oracle's four-way cross-check leans on. *)
+   verify oracle's cross-check leans on. *)
 
 module Insn = Casted_ir.Insn
 module Config = Casted_machine.Config

@@ -195,7 +195,7 @@ let rec exec_func ctx (df : Decode.dfunc) ~nargs : State.value option =
   st.State.depth <- st.State.depth - 1;
   result
 
-(* The block loop, factored out of exec_func so a replayed run can
+(* The block loop, factored out of exec_func so a rolled-back run can
    re-enter the entry function at an arbitrary block. At the loop top
    with depth = 1 (entry function, call stack empty) the machine state
    is fully described by State.t + the entry register file — that is
@@ -491,31 +491,6 @@ let run_decoded ?fault ?(fuel = max_int) ?(perfect_cache = false) ?profile
         (* Entry returned instead of halting: treat as exit 0. *)
         Outcome.Exit 0)
   in
-  finish ctx ~with_mem_digest termination
-
-(* Golden-prefix replay: restore a snapshot taken by the golden pass and
-   re-run only the entry function's block loop from the captured block.
-   With the same decoded program, fuel and fault, the result is
-   bit-identical to a full run — the prefix up to the snapshot is, by
-   the snapshot's validity condition (taken before the fault's trigger
-   event), identical to the golden prefix that produced it. *)
-let run_replayed ?fault ?(fuel = max_int) ?(with_mem_digest = false)
-    ~snapshot (d : Decode.t) =
-  let st, fr = State.restore ~cache:d.Decode.config.Config.cache snapshot in
-  let ctx =
-    { d; config = d.Decode.config; fuel; fault; profile = None;
-      on_block = None; st; args_scratch = [||] }
-  in
-  let entry = d.Decode.funcs.(d.Decode.entry) in
-  let termination =
-    termination_of (fun () ->
-        let (_ : State.value option) =
-          exec_blocks ctx fr entry ~start:snapshot.State.block
-        in
-        Outcome.Exit 0)
-  in
-  let module M = Casted_obs.Metrics in
-  if M.enabled () then M.incr "sim.replays";
   finish ctx ~with_mem_digest termination
 
 (* Region rollback: execute with a snapshot taken at every

@@ -46,38 +46,23 @@ val run :
     ({!Decode.of_schedule}). Bit-identical to [run] on the source
     schedule — same {!Outcome.run} field for field — but skips the
     per-run decode work: [run sched] is exactly
-    [run_decoded (Decode.of_schedule sched)]. Monte-Carlo campaigns
-    decode once and call this per trial; the decoded program is
+    [run_decoded (Decode.of_schedule sched)]. The decoded program is
     read-only and safe to share across pool domains. Each executor
     domain also keeps a private scratch memory arena that is restored
     from [decoded.image] with one blit per run.
 
-    This interpreter is the reference the compiled engine is held to:
-    the verify oracle, the golden fixture and the tests run it; golden
-    runs, sweeps and trials run {!run_compiled}. *)
+    This interpreter is the full-length reference the compiled engine
+    is held to: the verify oracle, the golden fixture, the tests and the
+    reference campaigns ([Montecarlo.run ~compile:false]) run it; golden
+    runs, sweeps and trials run {!run_compiled}, and only the compiled
+    engine replays from a golden-prefix snapshot
+    ({!run_compiled_replayed}). *)
 val run_decoded :
   ?fault:Fault.t ->
   ?fuel:int ->
   ?perfect_cache:bool ->
   ?profile:Profile.t ->
   ?with_mem_digest:bool ->
-  Decode.t ->
-  Outcome.run
-
-(** [run_replayed ~snapshot decoded] restores [snapshot] (captured by
-    {!Replay.capture}'s golden pass over the same decoded program, on
-    the compiled engine; snapshots are engine independent) and executes
-    only the remaining suffix. Bit-identical to
-    [run_decoded ?fault ?fuel decoded] whenever the snapshot precedes
-    the fault's trigger event (see {!Replay.find}): the prefix a full run would
-    execute before the trigger is exactly the golden prefix the
-    snapshot captured. Counters and cycle counts resume from the
-    snapshot, so every {!Outcome.run} field reports whole-run totals. *)
-val run_replayed :
-  ?fault:Fault.t ->
-  ?fuel:int ->
-  ?with_mem_digest:bool ->
-  snapshot:State.snapshot ->
   Decode.t ->
   Outcome.run
 
@@ -111,8 +96,9 @@ val run_recovering :
     Bit-identical to [run_decoded] on the underlying decoded program —
     same {!Outcome.run} field for field, and the same [perfect_cache]
     and [profile] modes — but with every per-instruction dispatch
-    decision resolved at compile time; the verify oracle's four-way
-    cross-check holds the engines to that contract. Campaigns, sweeps,
+    decision resolved at compile time; the verify oracle's cross-check
+    of [run], [run_decoded], [run_compiled] and the compiled replay
+    holds the engines to that contract. Campaigns, sweeps,
     single runs and replay capture compile once (memoized in
     [Engine.Cache]) and run on this path. *)
 val run_compiled :
@@ -124,11 +110,16 @@ val run_compiled :
   Compile.t ->
   Outcome.run
 
-(** [run_compiled_replayed ~snapshot compiled] is {!run_replayed} on the
-    compiled engine: restore a golden-prefix snapshot (captured on the
-    compiled engine by {!Replay.capture}; snapshots are engine
-    independent, so either replay entry point takes it) and execute
-    only the suffix as threaded code. *)
+(** [run_compiled_replayed ~snapshot compiled] restores [snapshot]
+    (captured by {!Replay.capture}'s golden pass over the same program)
+    and executes only the remaining suffix as threaded code — the one
+    golden-prefix replay implementation. Bit-identical to
+    [run_decoded ?fault ?fuel] on the underlying decoded program
+    whenever the snapshot precedes the fault's trigger event (see
+    {!Replay.find}): the prefix a full run would execute before the
+    trigger is exactly the golden prefix the snapshot captured.
+    Counters and cycle counts resume from the snapshot, so every
+    {!Outcome.run} field reports whole-run totals. *)
 val run_compiled_replayed :
   ?fault:Fault.t ->
   ?fuel:int ->

@@ -66,7 +66,7 @@ let reference ?options ?fuel program =
   Simulator.run ?fuel ~with_mem_digest:true c.Pipeline.schedule
 
 (* Field-for-field comparison of two runs of the same cell: [run],
-   [run_decoded], [run_replayed] and [run_compiled] all promise
+   [run_decoded], [run_compiled] and [run_compiled_replayed] all promise
    bit-identical results, and a fault-free run is deterministic, so any
    difference is a simulator bug. [label] names the pair being
    compared, e.g. ["run vs run_decoded"]. *)
@@ -113,13 +113,12 @@ let cross_check_with ~label cell (a : Outcome.run) (b : Outcome.run) =
 
 let cross_check cell a b = cross_check_with ~label:"run vs run_decoded" cell a b
 
-(* The replay legs of the four-way check: capture a small snapshot set
-   on the cell's program (dense stride, so the thinning path is
-   exercised too; the capture runs on the compiled engine) and replay
-   the fault-free run from EVERY snapshot — on both the decoded
-   interpreter and the stage-2 compiled engine. Each replayed suffix
-   must land on the decoded run field for field — cycles, every
-   counter, output, cache stats, the whole memory image. Any miss means
+(* The replay legs: capture a small snapshot set on the cell's program
+   (dense stride, so the thinning path is exercised too; the capture
+   runs on the compiled engine) and replay the fault-free run from EVERY
+   snapshot on the compiled engine. Each replayed suffix must land on
+   the decoded run field for field — cycles, every counter, output,
+   cache stats, the whole memory image. Any miss means
    State.snapshot/restore lost a piece of the machine (or the compiled
    engine resumes it differently). The capture's own golden run is held
    to the decoded run too, at no extra run: a capture hook that
@@ -133,19 +132,11 @@ let replay_cross_check ?fuel cell (decoded_run : Outcome.run) decoded stage2 =
   cross_check_with ~label:"run_decoded vs capture golden" cell decoded_run
     (Replay.golden r)
   @ (Replay.snapshots r |> Array.to_list
-  |> List.concat_map (fun snapshot ->
-         let replayed =
-           Simulator.run_replayed ?fuel ~with_mem_digest:true ~snapshot
-             decoded
-         in
-         let compiled_replayed =
-           Simulator.run_compiled_replayed ?fuel ~with_mem_digest:true
-             ~snapshot stage2
-         in
-         cross_check_with ~label:"run_decoded vs run_replayed" cell
-           decoded_run replayed
-         @ cross_check_with ~label:"run_decoded vs compiled_replayed" cell
-             decoded_run compiled_replayed))
+    |> List.concat_map (fun snapshot ->
+           cross_check_with ~label:"run_decoded vs compiled_replayed" cell
+             decoded_run
+             (Simulator.run_compiled_replayed ?fuel ~with_mem_digest:true
+                ~snapshot stage2)))
 
 let check_cell ?options ?fuel ~reference:(ref_run : Outcome.run) program cell
     =

@@ -7,16 +7,16 @@
     a compiler or simulator bug, RepTFD-style: the reference execution
     is the oracle.
 
-    Each cell additionally cross-checks the four execution paths
-    against each other, field for field: [Simulator.run] vs
+    Each cell additionally cross-checks the three engine paths against
+    each other, field for field: [Simulator.run] vs
     [Simulator.run_decoded] on the schedule (the pre-decoded
     interpreter must be bit-identical to the direct one),
     [Simulator.run_compiled] on the stage-2 compiled program (the
     closure-threaded engine must be bit-identical to the interpreter),
-    and [Simulator.run_replayed] / [Simulator.run_compiled_replayed]
-    from {e every} snapshot of a dense {!Casted_sim.Replay.capture} vs
-    the decoded run (golden-prefix replay must lose no piece of the
-    machine state, on either engine). The capture's own golden run,
+    and the compiled engine's golden-prefix replay,
+    [Simulator.run_compiled_replayed] from {e every} snapshot of a dense
+    {!Casted_sim.Replay.capture}, vs the decoded run (replay must lose
+    no piece of the machine state). The capture's own golden run,
     executed on the compiled engine with the snapshot hook armed, is
     held to the decoded run as well (["run_decoded vs capture
     golden"]). *)
@@ -56,7 +56,7 @@ val reference :
 (** [check_cell ?options ?fuel ~reference program cell] compiles
     [program] for [cell], runs it fault-free, and returns every
     divergence: architectural outcome vs the reference, plus the
-    four-way [run] / [run_decoded] / [run_replayed] / [run_compiled]
+    [run] / [run_decoded] / [run_compiled] / [run_compiled_replayed]
     cross-check on the cell's own schedule. *)
 val check_cell :
   ?options:Casted_detect.Options.t ->

@@ -12,8 +12,8 @@ whose acceptance bar is the floor itself; a top-level
 "recovery_overhead" object carries its own "min" (and optional
 "margin" and margin-free "floor") tables for the `recovery_overhead`
 section. Exits non-zero on
-any regression past the margin, so CI fails when the pre-decoded core
-or the closure-threaded engine loses its speedup or a recovery scheme
+any regression past the margin, so CI fails when the closure-threaded
+engine or golden-prefix replay loses its speedup or a recovery scheme
 stops recovering.
 
 The committed baseline values are deliberately conservative (shared CI

@@ -7,6 +7,7 @@
 open Helpers
 module Montecarlo = Casted_sim.Montecarlo
 module Compile = Casted_sim.Compile
+module Replay = Casted_sim.Replay
 module Decode = Casted_sim.Decode
 module Fault = Casted_sim.Fault
 module Cache = Casted_engine.Cache
@@ -66,7 +67,10 @@ let test_faulty_trials_every_model () =
   let decoded = cjpeg_decoded () in
   let compiled = Compile.of_decoded decoded in
   let check ~replay =
-    let golden = Montecarlo.golden_decoded ~replay decoded in
+    let replay_set =
+      if replay then Some (Replay.capture ~compiled decoded) else None
+    in
+    let golden = Montecarlo.golden_decoded ?replay_set decoded in
     List.iter
       (fun model ->
         for index = 0 to 15 do
@@ -141,8 +145,7 @@ let test_campaign_jobs_bit_identity () =
   same_result "jobs 1 vs 4 (compiled)" one four;
   let interp =
     Engine.with_engine ~jobs:4 (fun e ->
-        Montecarlo.run_decoded ~pool:(Engine.pool e) ~seed:7 ~compile:false
-          ~replay:false ~trials:256
+        Montecarlo.run_decoded ~pool:(Engine.pool e) ~seed:7 ~trials:256
           (Cache.decoded (Engine.cache e) k))
   in
   same_result "compiled vs interpreter" one interp

@@ -119,6 +119,69 @@ let test_engine_shares_cache () =
       Alcotest.(check int) "campaign reused the sweep compile" misses
         (Cache.stats (Engine.cache e)).Cache.misses)
 
+(* Every cache stage is built lazily, once per cell: a sweep decodes and
+   stage-2 compiles each grid cell exactly once and never captures. *)
+let test_cache_sweep_is_lazy () =
+  Engine.with_engine ~jobs:2 (fun e ->
+      let points =
+        Engine.sweep e ~size:Workload.Fault ~benchmarks:[ "cjpeg" ]
+          ~issues:[ 1; 2 ] ~delays:[ 1; 2 ] ()
+      in
+      let cells = List.length points in
+      let s = Cache.stats (Engine.cache e) in
+      Alcotest.(check int) "one entry per cell" cells s.Cache.entries;
+      Alcotest.(check int) "one compile per cell" cells s.Cache.misses;
+      Alcotest.(check int) "one decode per cell" cells s.Cache.decoded_misses;
+      Alcotest.(check int) "one stage-2 per cell" cells
+        s.Cache.compiled_misses;
+      Alcotest.(check int) "decoded slots" cells s.Cache.decoded_entries;
+      Alcotest.(check int) "stage-2 slots" cells s.Cache.compiled_entries;
+      Alcotest.(check int) "no capture" 0 s.Cache.replay_misses;
+      Alcotest.(check int) "no replay slot" 0 s.Cache.replay_entries)
+
+(* A replayed campaign captures its cell once; a second campaign on the
+   same cell reuses the snapshot set (and every other stage). *)
+let test_cache_campaign_captures_once () =
+  Engine.with_engine ~jobs:2 (fun e ->
+      let stats () = Cache.stats (Engine.cache e) in
+      let _ = Engine.campaign e ~trials:64 spec in
+      let s1 = stats () in
+      Alcotest.(check int) "one capture" 1 s1.Cache.replay_misses;
+      Alcotest.(check int) "one replay slot" 1 s1.Cache.replay_entries;
+      let _ = Engine.campaign e ~seed:9 ~trials:64 spec in
+      let s2 = stats () in
+      Alcotest.(check int) "no second capture" 1 s2.Cache.replay_misses;
+      Alcotest.(check int) "replay hit" (s1.Cache.replay_hits + 1)
+        s2.Cache.replay_hits;
+      Alcotest.(check int) "no recompile" s1.Cache.misses s2.Cache.misses;
+      Alcotest.(check int) "no re-decode" s1.Cache.decoded_misses
+        s2.Cache.decoded_misses;
+      Alcotest.(check int) "no second stage-2" s1.Cache.compiled_misses
+        s2.Cache.compiled_misses)
+
+(* A result-store full hit is served without building anything: a fresh
+   engine serving a banked cell compiles, decodes and stage-2 compiles
+   nothing. *)
+let test_cache_store_full_hit_builds_nothing () =
+  with_store_dir (fun dir ->
+      let store = Casted_store.Store.open_exn ~create:true dir in
+      let cold =
+        Engine.with_engine ~jobs:2 (fun e ->
+            Engine.campaign_stored e ~seed:5 ~store ~trials:64 spec)
+      in
+      Engine.with_engine ~jobs:2 (fun e ->
+          let warm = Engine.campaign_stored e ~seed:5 ~store ~trials:64 spec in
+          Alcotest.(check int) "served, not simulated" 0
+            warm.Engine.simulated;
+          Alcotest.(check (array int))
+            "same tally"
+            (Montecarlo.counts cold.Engine.result)
+            (Montecarlo.counts warm.Engine.result);
+          let s = Cache.stats (Engine.cache e) in
+          Alcotest.(check int) "no compile" 0 s.Cache.misses;
+          Alcotest.(check int) "no decode" 0 s.Cache.decoded_misses;
+          Alcotest.(check int) "no stage-2" 0 s.Cache.compiled_misses))
+
 (* (c) Pool shutdown drains cleanly: every mapped task ran exactly once,
    results are in input order, and nothing is lost across batches. *)
 let test_pool_drains () =
@@ -335,6 +398,12 @@ let suite =
       case "decoded program physically shared"
         test_cache_decoded_physically_shared;
       case "engine shares cache across jobs" test_engine_shares_cache;
+      case "sweep builds each stage once, never captures"
+        test_cache_sweep_is_lazy;
+      case "a cell captures once across campaigns"
+        test_cache_campaign_captures_once;
+      case "store full hit builds nothing"
+        test_cache_store_full_hit_builds_nothing;
       case "pool drains on shutdown" test_pool_drains;
       case "pool rejects use after shutdown" test_pool_rejects_use_after_shutdown;
       case "pool propagates exceptions" test_pool_propagates_exceptions;

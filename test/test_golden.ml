@@ -76,16 +76,21 @@ let test_run_matches_run_decoded () =
 
 (* The replay path must land on the same frozen fixture: capture a
    snapshot set on each entry and check that resuming from the LAST
-   snapshot (the most state restored, the least re-executed) still
-   reproduces every pinned field. *)
+   snapshot (the most state restored, the least re-executed) on the
+   compiled engine still reproduces every pinned field. *)
 let check_entry_replayed (e : Golden_fixture.entry) () =
   let d = decode_entry e in
-  let capture = Casted_sim.Replay.capture ~init_stride:64 ~target:16 d in
+  let p = Casted_sim.Compile.of_decoded d in
+  let capture =
+    Casted_sim.Replay.capture ~init_stride:64 ~target:16 ~compiled:p d
+  in
   let snaps = Casted_sim.Replay.snapshots capture in
   if Array.length snaps = 0 then
     Alcotest.failf "no snapshots captured for %s" e.Golden_fixture.workload;
   check_fields e
-    (Simulator.run_replayed ~snapshot:snaps.(Array.length snaps - 1) d)
+    (Simulator.run_compiled_replayed
+       ~snapshot:snaps.(Array.length snaps - 1)
+       p)
 
 (* ROLLBACK entries through the compiled recovering path (lazy region
    checkpoints): fault-free, from a fresh machine and replayed from

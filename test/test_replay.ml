@@ -58,12 +58,12 @@ let test_capture_golden_identical () =
   Alcotest.(check bool) "snapshots captured" true (Replay.count r > 0);
   Alcotest.(check bool) "golden identical" true (Replay.golden r = plain)
 
-(* Capture runs on the compiled engine: its snapshots must resume to the
-   interpreter's full run on BOTH engines, from every snapshot, field
-   for field (memory image included) — on the kernel and on a detecting
-   and a rollback-hardened workload schedule. A stage-2 program of a
-   different decoded program is refused. *)
-let test_capture_compiled_replays_on_both_engines () =
+(* Capture runs on the compiled engine: its snapshots must resume on the
+   compiled engine to the interpreter's full run, from every snapshot,
+   field for field (memory image included) — on the kernel and on a
+   detecting and a rollback-hardened workload schedule. A stage-2
+   program of a different decoded program is refused. *)
+let test_capture_compiled_replays_to_full () =
   let cjpeg = (Option.get (Registry.find "cjpeg")).W.build W.Fault in
   let cjpeg scheme =
     Decode.of_schedule
@@ -84,8 +84,6 @@ let test_capture_compiled_replays_on_both_engines () =
       Array.iteri
         (fun i snapshot ->
           let at what = Printf.sprintf "%s: snapshot %d: %s" name i what in
-          Alcotest.(check bool) (at "interpreter replay") true
-            (Simulator.run_replayed ~with_mem_digest:true ~snapshot d = full);
           Alcotest.(check bool) (at "compiled replay") true
             (Simulator.run_compiled_replayed ~with_mem_digest:true ~snapshot p
             = full))
@@ -101,16 +99,19 @@ let test_capture_compiled_replays_on_both_engines () =
   | _ -> Alcotest.fail "capture accepted another program's stage-2 form"
 
 (* The core property: for every fault model and several snapshot
-   strides, a trial replayed from the snapshot [Replay.find] picks is
-   field-for-field identical (cycles, every counter, output, memory
-   digest, cache stats) to the same fault executed from scratch. *)
+   strides, a trial replayed on the compiled engine from the snapshot
+   [Replay.find] picks is field-for-field identical (cycles, every
+   counter, output, memory digest, cache stats) to the same fault
+   executed from scratch on the interpreter reference. *)
 let test_trials_bit_identical () =
   let d = decoded () in
-  let g = Montecarlo.golden_decoded d in
+  let p = Compile.of_decoded d in
+  let g = Montecarlo.golden_decoded ~compiled:p d in
   let fuel = g.Montecarlo.fuel in
   let captures =
     List.map
-      (fun (init_stride, target) -> Replay.capture ~init_stride ~target d)
+      (fun (init_stride, target) ->
+        Replay.capture ~init_stride ~target ~compiled:p d)
       [ (1, 4); (4, 16); (32, 64) ]
   in
   let replayed_total = ref 0 in
@@ -130,8 +131,8 @@ let test_trials_bit_identical () =
               | Some snapshot ->
                   incr replayed_total;
                   let replayed =
-                    Simulator.run_replayed ~fault ~fuel ~with_mem_digest:true
-                      ~snapshot d
+                    Simulator.run_compiled_replayed ~fault ~fuel
+                      ~with_mem_digest:true ~snapshot p
                   in
                   Alcotest.(check bool)
                     (Printf.sprintf "%s trial %d: replayed = full"
@@ -213,8 +214,8 @@ let suite =
     [
       Alcotest.test_case "capture golden = plain run" `Quick
         test_capture_golden_identical;
-      Alcotest.test_case "compiled capture replays on both engines" `Quick
-        test_capture_compiled_replays_on_both_engines;
+      Alcotest.test_case "compiled capture replays = full run" `Quick
+        test_capture_compiled_replays_to_full;
       Alcotest.test_case "all models/strides: replayed = full" `Slow
         test_trials_bit_identical;
       Alcotest.test_case "campaigns: replay/pool invariant" `Slow

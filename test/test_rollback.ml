@@ -280,7 +280,6 @@ let test_engine_campaign () =
       let reference =
         Engine.with_engine ~jobs:2 (fun e ->
             Montecarlo.run_decoded ~pool:(Engine.pool e) ~seed:21 ~model
-              ~compile:false ~replay:false
               ~retry_budget:Engine.default_retry_budget ~trials:96
               (Cache.decoded (Engine.cache e) key))
       in

@@ -442,6 +442,7 @@ let test_audit_partial_shard_entry () =
       let partial = ref None in
       (match
          Montecarlo.run_decoded ~pool:(Engine.pool e) ~seed ~shard
+           ~compiled:(Cache.compiled (Engine.cache e) spec)
            ~bank:(fun ~next:_ r ->
              partial := Some r;
              raise Exit)
